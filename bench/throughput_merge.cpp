@@ -1,22 +1,19 @@
-// Merge-phase ablation: lock-pool striping vs plain CAS vs every
-// find x splice CAS policy, per worker count and seam density.
+// Merge-phase ablation: lock-pool striping vs lock-free CAS, per worker
+// count and seam density.
 //
 // The paper fixes one Phase-II design (Algorithm 8, lock-based parallel
-// REM). PR 7 made the CAS backend's design space explicit —
-// cas_unite<Find, Splice> with naive/split/halve path compaction and
-// atomic/simple walk advancement (after the PASGAL union_find_rules
-// catalog) — and this bench makes the whole space measurable:
+// REM). This bench measures it against the alternatives:
 //
 //   * sequential          boundary merges serialized (lower bound)
 //   * locked/b{0,6,12}    Algorithm 8 on striped lock pools (S5 sweep)
-//   * cas/<find>+<splice> all six policy combinations
+//   * cas                 lock-free compare-and-swap REM
 //
 // Workload: 2-D tiled PAREMSP with small tiles, so Phase II gets seam
 // traffic on both axes, swept over foreground densities (seam-pair
 // density tracks foreground density) and worker counts. Before timing,
 // EVERY configuration is verified bit-identical to sequential AREMSP —
 // the §3/§11 invariant that the component minimum survives as root under
-// any schedule and policy; the process exits nonzero on a mismatch.
+// any schedule; the process exits nonzero on a mismatch.
 //
 // Besides the tables, writes BENCH_merge.json (repo root via
 // artifact_path): one flat record per (backend, density, threads) with
@@ -28,10 +25,10 @@
 // 1024x1024), PAREMSP_BENCH_REPS, PAREMSP_BENCH_MAX_THREADS.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -40,6 +37,7 @@
 #include "core/label_scratch.hpp"
 #include "core/paremsp.hpp"
 #include "core/paremsp_tiled.hpp"
+#include "image/generators.hpp"
 #include "unionfind/lock_pool.hpp"
 
 namespace {
@@ -49,11 +47,9 @@ using namespace paremsp::bench;
 
 /// One merge-backend configuration under test.
 struct BackendConfig {
-  std::string name;  // stable record key ("locked/b12", "cas/halve+simple")
+  std::string name;  // stable record key ("sequential", "locked/b12", "cas")
   MergeBackend backend = MergeBackend::Sequential;
   int lock_bits = uf::LockPool::kDefaultBits;
-  uf::CasFind find = uf::CasFind::Naive;
-  uf::CasSplice splice = uf::CasSplice::Atomic;
 };
 
 std::vector<BackendConfig> backend_configs() {
@@ -63,18 +59,7 @@ std::vector<BackendConfig> backend_configs() {
     configs.push_back({"locked/b" + std::to_string(bits),
                        MergeBackend::LockedRem, bits});
   }
-  for (const uf::CasFind find :
-       {uf::CasFind::Naive, uf::CasFind::Split, uf::CasFind::Halve}) {
-    for (const uf::CasSplice splice :
-         {uf::CasSplice::Atomic, uf::CasSplice::Simple}) {
-      BackendConfig c;
-      c.name = merge_backend_label(MergeBackend::CasRem, find, splice);
-      c.backend = MergeBackend::CasRem;
-      c.find = find;
-      c.splice = splice;
-      configs.push_back(c);
-    }
-  }
+  configs.push_back({"cas", MergeBackend::CasRem});
   return configs;
 }
 
@@ -130,17 +115,14 @@ void write_json(const std::string& path, Coord rows, Coord cols,
 }  // namespace
 
 int main() {
-  print_banner("Merge-phase ablation: lock striping vs CAS find x splice");
+  print_banner("Merge-phase ablation: lock striping vs CAS");
 
   const double scale = bench_scale();
   const Coord side = std::max<Coord>(
       96, static_cast<Coord>(1024.0 * std::sqrt(std::max(scale, 1e-3))));
   const Coord tile = std::max<Coord>(16, side / 8);  // 8x8 tile grid
   const int reps = std::max(1, bench_reps());
-  const ThroughputMatrix matrix =
-      make_throughput_matrix({0.05, 0.5, 0.9}, side, side, AremspLabeler(),
-                             {1, 2, 4, 8});
-  const std::vector<int>& thread_counts = matrix.thread_counts;
+  const std::vector<int> thread_counts = sweep_thread_counts({1, 2, 4, 8});
   const std::vector<BackendConfig> configs = backend_configs();
 
   std::cout << "image: " << side << "x" << side << " uniform noise per "
@@ -150,10 +132,10 @@ int main() {
   int failures = 0;
   std::vector<MergeRecord> runs;
 
-  for (const DensityCase& dc : matrix.cases) {
-    const double density = dc.density;
-    const BinaryImage& image = dc.image;
-    const LabelingResult& want = dc.reference;
+  for (const double density : {0.05, 0.5, 0.9}) {
+    const BinaryImage image = gen::uniform_noise(
+        side, side, density, static_cast<std::uint64_t>(density * 1000) + 3);
+    const LabelingResult want = AremspLabeler().label(image);
     LabelScratch scratch;
 
     TextTable table("merge phase [ms] at density " +
@@ -175,11 +157,9 @@ int main() {
                                .tile_rows = tile,
                                .tile_cols = tile,
                                .merge_backend = config.backend,
-                               .lock_bits = config.lock_bits,
-                               .cas_find = config.find,
-                               .cas_splice = config.splice});
-        // Bit-identity gate before any timing: every backend x policy
-        // must reproduce sequential AREMSP exactly (DESIGN.md §11).
+                               .lock_bits = config.lock_bits});
+        // Bit-identity gate before any timing: every backend must
+        // reproduce sequential AREMSP exactly (DESIGN.md §11).
         const LabelingResult got = labeler.label_into(image, scratch);
         if (got.num_components != want.num_components ||
             got.labels != want.labels) {

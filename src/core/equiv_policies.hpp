@@ -1,5 +1,4 @@
-// Equivalence-recording policies plugged into the scan kernels, and the
-// merge-phase policy dispatch.
+// Equivalence-recording policies plugged into the scan kernels.
 //
 // The scan kernels (scan_one_line.hpp, scan_two_line.hpp) are parameterized
 // over how label equivalences are stored, which is exactly the axis the
@@ -10,45 +9,17 @@
 //   Label merge(Label, Label)  — record an equivalence, return a set member
 //   Label copy(Label)          — label value to propagate on a plain copy
 //   Label used()               — number of labels issued
-//
-// The merge phase has its own policy axis: the CAS backend's find × splice
-// combination (unionfind/parallel_rem.hpp). cas_unite_fn below is the one
-// place runtime configuration meets the compile-time policy matrix — every
-// executor (PAREMSP, tiled, rle, the engine's sharded path) resolves its
-// configured pair into a function pointer here, once per run.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
 #include "common/types.hpp"
-#include "unionfind/parallel_rem.hpp"
 #include "unionfind/rem.hpp"
 #include "unionfind/rtable.hpp"
 #include "unionfind/wu_equivalence.hpp"
 
 namespace paremsp {
-
-/// The cas_unite<> instantiation implementing a (find, splice) pair. Total
-/// over both enums; constexpr so the bench's policy tables can be static.
-[[nodiscard]] constexpr uf::CasUniteFn cas_unite_fn(
-    uf::CasFind find, uf::CasSplice splice) noexcept {
-  switch (find) {
-    case uf::CasFind::Naive:
-      return splice == uf::CasSplice::Atomic
-                 ? &uf::cas_unite<uf::FindNaive, uf::SpliceAtomic>
-                 : &uf::cas_unite<uf::FindNaive, uf::SpliceSimple>;
-    case uf::CasFind::Split:
-      return splice == uf::CasSplice::Atomic
-                 ? &uf::cas_unite<uf::FindSplit, uf::SpliceAtomic>
-                 : &uf::cas_unite<uf::FindSplit, uf::SpliceSimple>;
-    case uf::CasFind::Halve:
-      return splice == uf::CasSplice::Atomic
-                 ? &uf::cas_unite<uf::FindHalve, uf::SpliceAtomic>
-                 : &uf::cas_unite<uf::FindHalve, uf::SpliceSimple>;
-  }
-  return &uf::cas_unite<uf::FindNaive, uf::SpliceAtomic>;
-}
 
 /// REM-with-splicing policy over a caller-owned parent array (REMSP).
 /// `base` offsets the label space: thread t of PAREMSP passes

@@ -198,8 +198,6 @@ LabelingResult ParemspLabeler::label_impl(ConstImageView image,
       break;
     }
     case MergeBackend::CasRem: {
-      const uf::CasUniteFn unite =
-          cas_unite_fn(config_.cas_find, config_.cas_splice);
 #pragma omp parallel for schedule(static, 1) num_threads(nchunks)
       for (int t = 1; t < nchunks; ++t) {
         obs::Span span("paremsp.merge.boundary", "tile");
@@ -209,7 +207,7 @@ LabelingResult ParemspLabeler::label_impl(ConstImageView image,
             labels, chunks[static_cast<std::size_t>(t)].row_begin,
             [&](Label x, Label y) {
               ++pairs;
-              unite(p.data(), x, y, &us);
+              uf::cas_unite(p.data(), x, y, &us);
             });
 #pragma omp atomic
         merge_pairs += pairs;

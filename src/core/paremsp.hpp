@@ -15,11 +15,9 @@
 #pragma once
 
 #include <memory>
-#include <string>
 
 #include "core/labeling.hpp"
 #include "unionfind/lock_pool.hpp"
-#include "unionfind/parallel_rem.hpp"
 
 namespace paremsp {
 
@@ -37,17 +35,6 @@ enum class MergeBackend {
     case MergeBackend::Sequential: return "sequential";
   }
   return "?";
-}
-
-/// Display name of a fully resolved merge-backend choice: the CAS backend
-/// is a find × splice matrix ("cas/split+simple"), the others are flat.
-/// Benches, tables and test SCOPED_TRACEs all label configurations with
-/// this so the ablation rows read identically everywhere.
-[[nodiscard]] inline std::string merge_backend_label(
-    MergeBackend b, uf::CasFind find = uf::CasFind::Naive,
-    uf::CasSplice splice = uf::CasSplice::Atomic) {
-  if (b != MergeBackend::CasRem) return to_string(b);
-  return std::string("cas/") + to_string(find) + "+" + to_string(splice);
 }
 
 /// Which scan kernel each chunk runs in Phase I. The paper uses the
@@ -72,12 +59,6 @@ struct ParemspConfig {
   int lock_bits = uf::LockPool::kDefaultBits;
   /// Phase-I scan kernel.
   ScanStrategy scan = ScanStrategy::TwoLine;
-  /// Post-link path compaction of the CAS backend (CasRem only).
-  uf::CasFind cas_find = uf::CasFind::Naive;
-  /// Walk-advancement splice of the CAS backend (CasRem only). The
-  /// defaults reproduce the historical cas_unite; every combination is
-  /// bit-identical (DESIGN.md §11) — throughput is the only difference.
-  uf::CasSplice cas_splice = uf::CasSplice::Atomic;
 };
 
 /// PAREMSP labeler (8-connectivity, like the paper).

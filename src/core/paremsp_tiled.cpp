@@ -104,8 +104,6 @@ LabelingResult TiledParemspLabeler::run_impl(
       break;
     }
     case MergeBackend::CasRem: {
-      const uf::CasUniteFn unite =
-          cas_unite_fn(config_.cas_find, config_.cas_splice);
 #pragma omp parallel for schedule(dynamic, 1) num_threads(threads)
       for (int t = 0; t < ntiles; ++t) {
         obs::Span span("tiled.merge.tile", "tile");
@@ -114,7 +112,7 @@ LabelingResult TiledParemspLabeler::run_impl(
         merge_tile_seams(labels, tiles[static_cast<std::size_t>(t)],
                          [&](Label x, Label y) {
                            ++pairs;
-                           unite(p.data(), x, y, &us);
+                           uf::cas_unite(p.data(), x, y, &us);
                          });
 #pragma omp atomic
         merge_pairs += pairs;

@@ -15,13 +15,12 @@
 #include "core/paremsp.hpp"
 #include "core/paremsp_tiled.hpp"
 #include "core/rle_labelers.hpp"
-#include "propagate/propagate_labeler.hpp"
 
 namespace paremsp {
 
 namespace {
 
-constexpr std::array<AlgorithmInfo, 15> kCatalog{{
+constexpr std::array<AlgorithmInfo, 13> kCatalog{{
     {Algorithm::FloodFill, "floodfill",
      "BFS flood fill (ground-truth oracle)", false, true, false, true},
     {Algorithm::Suzuki, "suzuki",
@@ -56,12 +55,6 @@ constexpr std::array<AlgorithmInfo, 15> kCatalog{{
     {Algorithm::ParemspTiledRle, "paremsp2d_rle",
      "extension: run-based 2-D tiled PAREMSP (run seam merges)", true, true,
      false, true, true},
-    {Algorithm::Propagate, "propagate",
-     "extension: coarse-to-fine label propagation (sequential reference)",
-     false, true, false, true, false, Backend::Propagation},
-    {Algorithm::PropagatePar, "propagate_par",
-     "extension: coarse-to-fine label propagation (std::thread kernels)",
-     true, true, false, true, false, Backend::Propagation},
 }};
 
 }  // namespace
@@ -91,14 +84,6 @@ void require_supported(Algorithm algorithm, Connectivity connectivity) {
                       to_string(connectivity));
 }
 
-Algorithm default_algorithm_for(Backend backend, Connectivity connectivity) {
-  if (backend == Backend::Propagation) return Algorithm::Propagate;
-  // AREMSP's two-line mask is inherently 8-connected; the paper's one-line
-  // decision tree is the 4-connectivity-capable sequential reference.
-  return connectivity == Connectivity::Four ? Algorithm::Cclremsp
-                                            : Algorithm::Aremsp;
-}
-
 std::unique_ptr<Labeler> make_labeler(Algorithm algorithm,
                                       const LabelerOptions& options) {
   require_supported(algorithm, options.connectivity);
@@ -125,40 +110,26 @@ std::unique_ptr<Labeler> make_labeler(Algorithm algorithm,
       return std::make_unique<ParemspLabeler>(
           ParemspConfig{.threads = options.threads,
                         .merge_backend = options.merge_backend,
-                        .lock_bits = options.lock_bits,
-                        .cas_find = options.cas_find,
-                        .cas_splice = options.cas_splice});
+                        .lock_bits = options.lock_bits});
     case Algorithm::ParemspTiled:
       return std::make_unique<TiledParemspLabeler>(TiledParemspConfig{
           .threads = options.threads,
           .merge_backend = options.merge_backend,
-          .lock_bits = options.lock_bits,
-          .cas_find = options.cas_find,
-          .cas_splice = options.cas_splice});
+          .lock_bits = options.lock_bits});
     case Algorithm::AremspRle:
       return std::make_unique<AremspRleLabeler>(options.connectivity);
     case Algorithm::ParemspRle:
       return std::make_unique<ParemspRleLabeler>(
           RleConfig{.threads = options.threads,
                     .merge_backend = options.merge_backend,
-                    .lock_bits = options.lock_bits,
-                    .cas_find = options.cas_find,
-                    .cas_splice = options.cas_splice},
+                    .lock_bits = options.lock_bits},
           options.connectivity);
     case Algorithm::ParemspTiledRle:
       return std::make_unique<TiledParemspRleLabeler>(
           RleConfig{.threads = options.threads,
                     .merge_backend = options.merge_backend,
-                    .lock_bits = options.lock_bits,
-                    .cas_find = options.cas_find,
-                    .cas_splice = options.cas_splice},
+                    .lock_bits = options.lock_bits},
           options.connectivity);
-    case Algorithm::Propagate:
-      return std::make_unique<PropagateLabeler>(PropagateConfig{},
-                                                options.connectivity);
-    case Algorithm::PropagatePar:
-      return std::make_unique<PropagateParLabeler>(
-          PropagateConfig{.threads = options.threads}, options.connectivity);
   }
   throw PreconditionError("unknown algorithm id");
 }

@@ -35,11 +35,6 @@ struct AlgorithmInfo {
   /// value-identical results. (PAREMSP's one-line ScanStrategy ablation is
   /// the lone config exception — it falls back despite the flag.)
   bool fused_stats = false;
-  /// Algorithm family (core/labeling.hpp): the dimension
-  /// LabelRequest::backend selects on. UnionFind for every two-pass
-  /// scan + equivalence algorithm, Propagation for the coarse-to-fine
-  /// label-propagation kernels.
-  Backend backend = Backend::UnionFind;
 
   /// Whether this algorithm can label under `connectivity`. The single
   /// source of truth for connectivity support: make_labeler and the
@@ -71,9 +66,6 @@ struct LabelerOptions {
   int threads = 0;                                    // PAREMSP only
   MergeBackend merge_backend = MergeBackend::LockedRem;  // PAREMSP only
   int lock_bits = 12;                                 // PAREMSP only
-  /// CAS backend find × splice policy (CasRem only; see ParemspConfig).
-  uf::CasFind cas_find = uf::CasFind::Naive;
-  uf::CasSplice cas_splice = uf::CasSplice::Atomic;
 };
 
 /// Throw the registry's uniform PreconditionError when `algorithm` does
@@ -81,14 +73,6 @@ struct LabelerOptions {
 /// constructors call this instead of rolling their own checks so direct
 /// construction and make_labeler reject identically.
 void require_supported(Algorithm algorithm, Connectivity connectivity);
-
-/// The algorithm the engine instantiates when a request selects `backend`
-/// and the worker's configured labeler is of the other family: the
-/// family's sequential reference that supports `connectivity` (engine
-/// parallelism is across jobs, so the per-job labeler stays sequential —
-/// the same rationale as the Aremsp default).
-[[nodiscard]] Algorithm default_algorithm_for(Backend backend,
-                                              Connectivity connectivity);
 
 /// Construct a labeler.
 [[nodiscard]] std::unique_ptr<Labeler> make_labeler(

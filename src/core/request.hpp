@@ -80,11 +80,6 @@ struct ShardOptions {
   MergeBackend merge_backend = MergeBackend::LockedRem;
   /// log2 of the striped lock-pool size (LockedRem only).
   int lock_bits = uf::LockPool::kDefaultBits;
-  /// CAS backend find × splice policy (CasRem only). Every combination is
-  /// bit-identical (DESIGN.md §11); requests select per call for the
-  /// ablation bench and the throughput-tuned production default.
-  uf::CasFind cas_find = uf::CasFind::Naive;
-  uf::CasSplice cas_splice = uf::CasSplice::Atomic;
 };
 
 /// One labeling request: what to label, under which connectivity, which
@@ -112,15 +107,6 @@ struct LabelRequest {
   /// remaining labelers binarize internally with identical results.
   /// Must be within [0.0, 1.0].
   std::optional<double> threshold;
-
-  /// Algorithm-family selector: when set, the request must execute on a
-  /// labeler of this family (registry AlgorithmInfo::backend). The engine
-  /// routes a mismatching one-shot request to the family's reference
-  /// labeler on the worker; direct Labeler::run and the executors without
-  /// a propagation story — sharded and streaming — reject a mismatch
-  /// synchronously with a PreconditionError, never silently fall back.
-  /// nullopt = run on whatever the executor was configured with.
-  std::optional<Backend> backend;
 
   /// What to compute.
   OutputSet outputs;

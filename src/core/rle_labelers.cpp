@@ -32,8 +32,7 @@ LabelingResult label_runs_impl(ConstImageView image, Connectivity connectivity,
                                analysis::ComponentStats* stats,
                                Coord tile_rows, Coord tile_cols, int threads,
                                MergeBackend merge_backend,
-                               uf::LockPool* locks, uf::CasUniteFn cas_unite,
-                               int threshold = -1) {
+                               uf::LockPool* locks, int threshold = -1) {
   const WallTimer total;
   // Opened at entry so workspace acquisition lands in scan_ms and the four
   // phase timings partition total_ms (the exporters' reconcile contract).
@@ -116,7 +115,7 @@ LabelingResult label_runs_impl(ConstImageView image, Connectivity connectivity,
         merge_run_seams(tiles, tile_runs, static_cast<std::size_t>(t), grid,
                         connectivity, [&](Label x, Label y) {
                           ++pairs;
-                          cas_unite(p.data(), x, y, &us);
+                          uf::cas_unite(p.data(), x, y, &us);
                         });
 #pragma omp atomic
         merge_pairs += pairs;
@@ -198,9 +197,7 @@ LabelingResult AremspRleLabeler::run_impl(ConstImageView image,
   return label_runs_impl(image, connectivity, scratch, stats,
                          std::max<Coord>(image.rows(), 1),
                          std::max<Coord>(image.cols(), 1), /*threads=*/1,
-                         MergeBackend::Sequential, nullptr,
-                         cas_unite_fn(uf::CasFind::Naive,
-                                      uf::CasSplice::Atomic));
+                         MergeBackend::Sequential, nullptr);
 }
 
 LabelingResult AremspRleLabeler::run_gray_impl(ConstImageView gray,
@@ -212,10 +209,7 @@ LabelingResult AremspRleLabeler::run_gray_impl(ConstImageView gray,
   return label_runs_impl(gray, connectivity, scratch, stats,
                          std::max<Coord>(gray.rows(), 1),
                          std::max<Coord>(gray.cols(), 1), /*threads=*/1,
-                         MergeBackend::Sequential, nullptr,
-                         cas_unite_fn(uf::CasFind::Naive,
-                                      uf::CasSplice::Atomic),
-                         cutoff);
+                         MergeBackend::Sequential, nullptr, cutoff);
 }
 
 ParemspRleLabeler::ParemspRleLabeler(RleConfig config,
@@ -239,8 +233,7 @@ LabelingResult ParemspRleLabeler::run_impl(ConstImageView image,
   return label_runs_impl(image, connectivity, scratch, stats,
                          band_rows(image.rows(), threads),
                          std::max<Coord>(image.cols(), 1), threads,
-                         config_.merge_backend, locks_.get(),
-                         cas_unite_fn(config_.cas_find, config_.cas_splice));
+                         config_.merge_backend, locks_.get());
 }
 
 LabelingResult ParemspRleLabeler::run_gray_impl(
@@ -251,9 +244,7 @@ LabelingResult ParemspRleLabeler::run_gray_impl(
   return label_runs_impl(gray, connectivity, scratch, stats,
                          band_rows(gray.rows(), threads),
                          std::max<Coord>(gray.cols(), 1), threads,
-                         config_.merge_backend, locks_.get(),
-                         cas_unite_fn(config_.cas_find, config_.cas_splice),
-                         cutoff);
+                         config_.merge_backend, locks_.get(), cutoff);
 }
 
 TiledParemspRleLabeler::TiledParemspRleLabeler(RleConfig config,
@@ -276,8 +267,7 @@ LabelingResult TiledParemspRleLabeler::run_impl(
       config_.threads > 0 ? config_.threads : omp_get_max_threads();
   return label_runs_impl(image, connectivity, scratch, stats,
                          config_.tile_rows, config_.tile_cols, threads,
-                         config_.merge_backend, locks_.get(),
-                         cas_unite_fn(config_.cas_find, config_.cas_splice));
+                         config_.merge_backend, locks_.get());
 }
 
 LabelingResult TiledParemspRleLabeler::run_gray_impl(
@@ -287,9 +277,7 @@ LabelingResult TiledParemspRleLabeler::run_gray_impl(
       config_.threads > 0 ? config_.threads : omp_get_max_threads();
   return label_runs_impl(gray, connectivity, scratch, stats,
                          config_.tile_rows, config_.tile_cols, threads,
-                         config_.merge_backend, locks_.get(),
-                         cas_unite_fn(config_.cas_find, config_.cas_splice),
-                         cutoff);
+                         config_.merge_backend, locks_.get(), cutoff);
 }
 
 }  // namespace paremsp

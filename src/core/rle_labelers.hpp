@@ -52,9 +52,6 @@ struct RleConfig {
   MergeBackend merge_backend = MergeBackend::LockedRem;
   /// log2 of the striped lock-pool size (LockedRem only).
   int lock_bits = uf::LockPool::kDefaultBits;
-  /// CAS backend find × splice policy (CasRem only; see ParemspConfig).
-  uf::CasFind cas_find = uf::CasFind::Naive;
-  uf::CasSplice cas_splice = uf::CasSplice::Atomic;
 };
 
 /// Sequential run-based AREMSP. Supports both connectivities.

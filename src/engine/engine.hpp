@@ -63,8 +63,11 @@ struct EngineConfig {
   /// Algorithm each worker dispatches to. The default is AREMSP — the
   /// paper's fastest sequential algorithm — because with many images in
   /// flight, parallelism across images beats parallelism within one
-  /// small image. Pick Algorithm::Paremsp with labeler.threads > 1 when
-  /// the stream contains large images.
+  /// small image. Label large images by setting LabelRequest::shard
+  /// (ShardScan::Runs), which fans the work out over this engine's own
+  /// workers. Algorithm::Paremsp with labeler.threads > 1 would instead
+  /// fork an OpenMP team inside every worker: workers × threads runnable
+  /// threads on the same cores.
   Algorithm algorithm = Algorithm::Aremsp;
   /// Options forwarded to make_labeler for each worker's instance. Its
   /// connectivity is the per-worker default; a LabelRequest may override

@@ -27,7 +27,6 @@
 
 #include "common/contracts.hpp"
 #include "common/timer.hpp"
-#include "core/equiv_policies.hpp"
 #include "core/registry.hpp"
 #include "core/tiled_phases.hpp"
 #include "engine/engine.hpp"
@@ -48,7 +47,6 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
         request_(std::move(request)),
         options_(*request_.shard),
         connectivity_(connectivity),
-        cas_unite_(cas_unite_fn(options_.cas_find, options_.cas_splice)),
         deliver_(std::move(deliver)) {
     if (options_.merge_backend == MergeBackend::LockedRem) {
       locks_ = std::make_unique<uf::LockPool>(options_.lock_bits);
@@ -224,7 +222,7 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
             merge_run_seams(tiles_, runs(), t, grid_, connectivity_,
                             [&](Label x, Label y) {
                               ++pairs;
-                              cas_unite_(p, x, y, &us);
+                              uf::cas_unite(p, x, y, &us);
                             });
           }
         } else if (options_.merge_backend == MergeBackend::LockedRem) {
@@ -235,7 +233,7 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
         } else {
           merge_tile_seams(result_.labels, tiles_[t], [&](Label x, Label y) {
             ++pairs;
-            cas_unite_(p, x, y, &us);
+            uf::cas_unite(p, x, y, &us);
           });
         }
         merge_pair_slots_[t] = pairs;
@@ -571,7 +569,6 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
   const LabelRequest request_;  // borrowed views; shard engaged
   const ShardOptions options_;
   const Connectivity connectivity_;  // effective (validated) connectivity
-  const uf::CasUniteFn cas_unite_;   // options_'s find × splice combination
   LabelingEngine::Deliver deliver_;
   std::unique_ptr<uf::LockPool> locks_;
   int cutoff_ = -1;      // request threshold as an integer cutoff; -1 unset

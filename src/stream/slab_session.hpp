@@ -104,13 +104,6 @@ struct StreamOptions {
   /// Must be within [0, 1].
   std::optional<double> threshold;
 
-  /// Algorithm family, same vocabulary as LabelRequest::backend. The slab
-  /// pipeline is built on the run/seam union-find machinery and has no
-  /// incremental propagation seam story, so only Backend::UnionFind is
-  /// accepted — construction rejects Propagation synchronously rather
-  /// than silently labeling with the other family.
-  Backend backend = Backend::UnionFind;
-
   /// Return each slab's label plane from push_slab (local dense ids).
   /// Off = counting/measuring stream: no plane is materialized in Runs
   /// mode at all.

@@ -395,38 +395,18 @@ TEST(ObsCounters, UnionOracleHoldsAcrossMergeBackends) {
     for (const MergeBackend backend :
          {MergeBackend::LockedRem, MergeBackend::CasRem,
           MergeBackend::Sequential}) {
-      // CasRem additionally sweeps its find × splice policy pairs; the
-      // oracle must hold for every combination (each is a complete REM
-      // merger, only the compaction traffic differs).
-      std::vector<std::pair<uf::CasFind, uf::CasSplice>> policies = {
-          {uf::CasFind::Naive, uf::CasSplice::Atomic}};
-      if (backend == MergeBackend::CasRem) {
-        for (const uf::CasFind find :
-             {uf::CasFind::Naive, uf::CasFind::Split, uf::CasFind::Halve}) {
-          for (const uf::CasSplice splice :
-               {uf::CasSplice::Atomic, uf::CasSplice::Simple}) {
-            if (find == uf::CasFind::Naive && splice == uf::CasSplice::Atomic)
-              continue;  // already present as the default entry
-            policies.emplace_back(find, splice);
-          }
-        }
-      }
-      for (const auto& [find, splice] : policies) {
-        LabelerOptions options;
-        options.merge_backend = backend;
-        // Honor the environment's thread cap instead of forcing 4: the CI
-        // TSan job pins OMP_NUM_THREADS=1 because libgomp's barriers are
-        // not TSan-instrumented (std::thread suites carry the concurrency
-        // coverage there); everywhere else this still runs 4-way.
-        options.threads = env_int("OMP_NUM_THREADS", 4);
-        options.cas_find = find;
-        options.cas_splice = splice;
-        const auto labeler = make_labeler(algorithm, options);
-        const LabelResponse response = labeler->run(request);
-        expect_union_oracle(response.timings.counters, response.num_components,
-                            std::string(algorithm_info(algorithm).name) + "/" +
-                                merge_backend_label(backend, find, splice));
-      }
+      LabelerOptions options;
+      options.merge_backend = backend;
+      // Honor the environment's thread cap instead of forcing 4: the CI
+      // TSan job pins OMP_NUM_THREADS=1 because libgomp's barriers are
+      // not TSan-instrumented (std::thread suites carry the concurrency
+      // coverage there); everywhere else this still runs 4-way.
+      options.threads = env_int("OMP_NUM_THREADS", 4);
+      const auto labeler = make_labeler(algorithm, options);
+      const LabelResponse response = labeler->run(request);
+      expect_union_oracle(response.timings.counters, response.num_components,
+                          std::string(algorithm_info(algorithm).name) + "/" +
+                              to_string(backend));
     }
   }
 }

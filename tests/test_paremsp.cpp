@@ -8,7 +8,6 @@
 #include "analysis/validation.hpp"
 #include "core/aremsp.hpp"
 #include "core/paremsp.hpp"
-#include "core/paremsp_tiled.hpp"
 #include "image/ascii.hpp"
 #include "image/generators.hpp"
 #include "fixtures.hpp"
@@ -126,64 +125,6 @@ INSTANTIATE_TEST_SUITE_P(Backends, ParemspBackend,
                          [](const auto& pinfo) {
                            return std::string(to_string(pinfo.param));
                          });
-
-// --- CAS find × splice policy matrix ----------------------------------------
-//
-// Every combination must leave the CasRem merger bit-identical to
-// sequential AREMSP — the policies only change which compression hints
-// are written, never which component minimum survives as root
-// (DESIGN.md §11). Checked on the row-banded and the 2-D tiled labeler.
-
-class ParemspCasPolicy
-    : public ::testing::TestWithParam<std::pair<uf::CasFind, uf::CasSplice>> {
-};
-
-TEST_P(ParemspCasPolicy, BandedLabelerBitIdenticalToSequential) {
-  const auto [find, splice] = GetParam();
-  const AremspLabeler seq;
-  for (const int threads : {2, 4, 8}) {
-    for (std::uint64_t seed = 0; seed < 3; ++seed) {
-      const auto image = gen::landcover_like(96, 48, seed, 2);
-      SCOPED_TRACE("threads=" + std::to_string(threads) + " seed=" +
-                   std::to_string(seed));
-      const ParemspLabeler par(ParemspConfig{.threads = threads,
-                                             .merge_backend =
-                                                 MergeBackend::CasRem,
-                                             .cas_find = find,
-                                             .cas_splice = splice});
-      EXPECT_EQ(par.label(image).labels, seq.label(image).labels);
-    }
-  }
-}
-
-TEST_P(ParemspCasPolicy, TiledLabelerBitIdenticalToSequential) {
-  const auto [find, splice] = GetParam();
-  const AremspLabeler seq;
-  // Small tiles maximize seam-merge traffic through the policy under test.
-  const auto image = gen::uniform_noise(96, 96, 0.55, 77);
-  const TiledParemspLabeler tiled(
-      TiledParemspConfig{.threads = 4,
-                         .tile_rows = 16,
-                         .tile_cols = 16,
-                         .merge_backend = MergeBackend::CasRem,
-                         .cas_find = find,
-                         .cas_splice = splice});
-  EXPECT_EQ(tiled.label(image).labels, seq.label(image).labels);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Policies, ParemspCasPolicy,
-    ::testing::Values(
-        std::pair{uf::CasFind::Naive, uf::CasSplice::Atomic},
-        std::pair{uf::CasFind::Naive, uf::CasSplice::Simple},
-        std::pair{uf::CasFind::Split, uf::CasSplice::Atomic},
-        std::pair{uf::CasFind::Split, uf::CasSplice::Simple},
-        std::pair{uf::CasFind::Halve, uf::CasSplice::Atomic},
-        std::pair{uf::CasFind::Halve, uf::CasSplice::Simple}),
-    [](const auto& pinfo) {
-      return std::string(uf::to_string(pinfo.param.first)) + "_" +
-             uf::to_string(pinfo.param.second);
-    });
 
 // --- Chunk-boundary adversaries ----------------------------------------------------
 

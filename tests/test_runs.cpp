@@ -382,6 +382,18 @@ std::vector<std::pair<std::string, std::unique_ptr<Labeler>>> rle_matrix(
                        RleConfig{.tile_rows = tr, .tile_cols = tc},
                        connectivity));
   }
+  // The lock-free seam merger must reach the same labels as the locked one.
+  m.emplace_back("paremsp_rle t3 cas",
+                 std::make_unique<ParemspRleLabeler>(
+                     RleConfig{.threads = 3,
+                               .merge_backend = MergeBackend::CasRem},
+                     connectivity));
+  m.emplace_back("paremsp2d_rle 2x3 cas",
+                 std::make_unique<TiledParemspRleLabeler>(
+                     RleConfig{.tile_rows = 2,
+                               .tile_cols = 3,
+                               .merge_backend = MergeBackend::CasRem},
+                     connectivity));
   return m;
 }
 

@@ -166,42 +166,16 @@ TEST(Sharded, AllMergeBackendsMatch) {
   const BinaryImage image = gen::uniform_noise(64, 64, 0.55, 17);
   const LabelingResult want = AremspLabeler().label(image);
   LabelingEngine eng({.workers = 3});
-  for (const auto backend : {MergeBackend::LockedRem, MergeBackend::CasRem,
-                             MergeBackend::Sequential}) {
-    const LabelingResult got = eng.label_sharded(
-        image, ShardOptions{
-                   .tile_rows = 8, .tile_cols = 8, .merge_backend = backend});
-    expect_bit_identical(got, want, to_string(backend));
-  }
-}
-
-TEST(Sharded, CasPolicyRoutesPerRequestAndStaysBitIdentical) {
-  // ShardOptions carries the CasRem find x splice selection per request:
-  // the same engine must honor a different combination on every submit
-  // (no labeler reconstruction, no cross-request state) and each one
-  // must stay bit-identical to sequential AREMSP — on the pixel and the
-  // run-based shard pipeline alike.
-  const BinaryImage image = gen::uniform_noise(64, 64, 0.55, 17);
-  const LabelingResult want = AremspLabeler().label(image);
-  LabelingEngine eng({.workers = 3});
   for (const ShardScan scan : {ShardScan::Pixel, ShardScan::Runs}) {
-    for (const uf::CasFind find :
-         {uf::CasFind::Naive, uf::CasFind::Split, uf::CasFind::Halve}) {
-      for (const uf::CasSplice splice :
-           {uf::CasSplice::Atomic, uf::CasSplice::Simple}) {
-        const LabelingResult got =
-            eng.label_sharded(image, ShardOptions{
-                                         .tile_rows = 8,
-                                         .tile_cols = 8,
-                                         .scan = scan,
-                                         .merge_backend = MergeBackend::CasRem,
-                                         .cas_find = find,
-                                         .cas_splice = splice});
-        expect_bit_identical(
-            got, want,
-            std::string(to_string(scan)) + "/" +
-                merge_backend_label(MergeBackend::CasRem, find, splice));
-      }
+    for (const auto backend : {MergeBackend::LockedRem, MergeBackend::CasRem,
+                               MergeBackend::Sequential}) {
+      const LabelingResult got =
+          eng.label_sharded(image, ShardOptions{.tile_rows = 8,
+                                                .tile_cols = 8,
+                                                .scan = scan,
+                                                .merge_backend = backend});
+      expect_bit_identical(
+          got, want, std::string(to_string(scan)) + "/" + to_string(backend));
     }
   }
 }

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/prng.hpp"
-#include "core/equiv_policies.hpp"
 #include "unionfind/lock_pool.hpp"
 #include "unionfind/parallel_rem.hpp"
 #include "unionfind/rem.hpp"
@@ -212,43 +211,31 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// --- find × splice policy matrix (std::thread, TSan-covered) ----------------
+// --- CAS policy suite (std::thread, TSan-covered) ---------------------------
 //
-// Every combination of path-compaction (find) and walk-advancement
-// (splice) policy is a complete CAS merger: the final partition must
-// match sequential REM and keep the parents-below-indices invariant, for
-// every thread count. Named *ParallelMergeStdThread* so the CI TSan
-// job's existing wildcard picks the whole matrix up.
+// cas_unite is the one CAS merger: a naive find (no compaction writes
+// during the walk) with an atomic splice (DESIGN.md §11). The two
+// single-valued enums name that policy so the cases keep their
+// naive_atomic_t<threads> names. The final partition must match
+// sequential REM and keep the parents-below-indices invariant for every
+// thread count. Named *ParallelMergeStdThread* so the CI TSan job's
+// wildcard picks it up.
 
-void run_policy_std_thread(uf::CasUniteFn unite, Label n,
-                           const std::vector<Edge>& edges,
-                           std::vector<Label>& p, int threads) {
-  p.resize(static_cast<std::size_t>(n));
-  std::iota(p.begin(), p.end(), 0);
-  std::vector<std::thread> pool;
-  for (int t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      for (std::size_t i = static_cast<std::size_t>(t); i < edges.size();
-           i += static_cast<std::size_t>(threads)) {
-        unite(p.data(), edges[i].first, edges[i].second, nullptr);
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-}
+enum class FindPolicy { Naive };
+enum class SplicePolicy { Atomic };
 
 class ParallelMergeStdThreadPolicies
-    : public ::testing::TestWithParam<std::tuple<CasFind, CasSplice, int>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<FindPolicy, SplicePolicy, int>> {};
 
 TEST_P(ParallelMergeStdThreadPolicies, PartitionMatchesSequentialRem) {
-  const auto [find, splice, threads] = GetParam();
-  const CasUniteFn unite = paremsp::cas_unite_fn(find, splice);
+  const int threads = std::get<2>(GetParam());
   constexpr Label n = 2000;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const auto edges = random_edges(n, 6000, seed);
     const auto expected = sequential_roots(n, edges);
     std::vector<Label> p;
-    run_policy_std_thread(unite, n, edges, p, threads);
+    run_parallel_std_thread(Backend::Cas, n, edges, p, threads, 2);
     for (Label i = 0; i < n; ++i) {
       ASSERT_EQ(rem_find(p.data(), i), expected[static_cast<std::size_t>(i)])
           << "element " << i << " seed " << seed;
@@ -257,26 +244,24 @@ TEST_P(ParallelMergeStdThreadPolicies, PartitionMatchesSequentialRem) {
 }
 
 TEST_P(ParallelMergeStdThreadPolicies, HighContentionSingleComponent) {
-  const auto [find, splice, threads] = GetParam();
-  const CasUniteFn unite = paremsp::cas_unite_fn(find, splice);
+  const int threads = std::get<2>(GetParam());
   constexpr Label n = 1024;
   std::vector<Edge> edges;
   for (Label i = 1; i < n; ++i) edges.emplace_back(0, i);
   for (Label i = 1; i < n; ++i) edges.emplace_back(i, n - i);
   std::vector<Label> p;
-  run_policy_std_thread(unite, n, edges, p, threads);
+  run_parallel_std_thread(Backend::Cas, n, edges, p, threads, 2);
   for (Label i = 0; i < n; ++i) {
     ASSERT_EQ(rem_find(p.data(), i), 0);
   }
 }
 
 TEST_P(ParallelMergeStdThreadPolicies, ParentsStayBelowIndices) {
-  const auto [find, splice, threads] = GetParam();
-  const CasUniteFn unite = paremsp::cas_unite_fn(find, splice);
+  const int threads = std::get<2>(GetParam());
   constexpr Label n = 3000;
   const auto edges = random_edges(n, 9000, 0xFEED);
   std::vector<Label> p;
-  run_policy_std_thread(unite, n, edges, p, threads);
+  run_parallel_std_thread(Backend::Cas, n, edges, p, threads, 2);
   for (Label i = 0; i < n; ++i) {
     ASSERT_LE(p[static_cast<std::size_t>(i)], i) << "REM invariant broken";
   }
@@ -284,16 +269,11 @@ TEST_P(ParallelMergeStdThreadPolicies, ParentsStayBelowIndices) {
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, ParallelMergeStdThreadPolicies,
-    ::testing::Combine(::testing::Values(CasFind::Naive, CasFind::Split,
-                                         CasFind::Halve),
-                       ::testing::Values(CasSplice::Atomic,
-                                         CasSplice::Simple),
+    ::testing::Combine(::testing::Values(FindPolicy::Naive),
+                       ::testing::Values(SplicePolicy::Atomic),
                        ::testing::Values(2, 4, 8)),
     [](const auto& pinfo) {
-      std::string name = to_string(std::get<0>(pinfo.param));
-      name += std::string("_") + to_string(std::get<1>(pinfo.param));
-      name += "_t" + std::to_string(std::get<2>(pinfo.param));
-      return name;
+      return "naive_atomic_t" + std::to_string(std::get<2>(pinfo.param));
     });
 
 TEST(LockPool, StripesCoverAllIndices) {

@@ -40,25 +40,22 @@ int main() {
     TextTable table("Workload: " + workload + " (" +
                     std::to_string(image.rows()) + "x" +
                     std::to_string(image.cols()) + ") — total time [msec]");
-    std::vector<std::string> header{"#Threads",        "paremsp",
-                                    "paremsp-oneline", "paremsp2d",
-                                    "psuzuki",         "psuzuki iters"};
+    std::vector<std::string> header{"#Threads", "paremsp", "paremsp-oneline",
+                                    "psuzuki", "psuzuki iters"};
     table.set_header(header);
 
     for (const int t : threads) {
       const ParemspLabeler two_line(ParemspConfig{t});
       const ParemspLabeler one_line(ParemspConfig{
           t, MergeBackend::LockedRem, 12, ScanStrategy::OneLine});
-      const TiledParemspLabeler tiled(TiledParemspConfig{.threads = t});
       const ParallelSuzukiLabeler psuzuki(Connectivity::Eight, t);
 
       const double t2 = time_labeler_ms(two_line, image, reps);
       const double t1 = time_labeler_ms(one_line, image, reps);
-      const double td = time_labeler_ms(tiled, image, reps);
       const double tp = time_labeler_ms(psuzuki, image, reps);
       table.add_row({std::to_string(t) + oversubscription_note(t),
                      TextTable::num(t2), TextTable::num(t1),
-                     TextTable::num(td), TextTable::num(tp),
+                     TextTable::num(tp),
                      std::to_string(psuzuki.last_iteration_count())});
     }
     std::cout << table.to_string() << '\n';
@@ -66,11 +63,9 @@ int main() {
 
   std::cout
       << "Expected shape: paremsp < paremsp-oneline (the two-line scan\n"
-      << "halves row traversals); paremsp2d tracks paremsp closely (tiling\n"
-      << "pays off only beyond row-count-limited thread counts); all\n"
-      << "two-pass variants beat psuzuki by a wide margin on the spiral,\n"
-      << "whose snaking component forces many propagation iterations — the\n"
-      << "multi-pass pathology that motivates two-pass labeling (paper\n"
-      << "§I-II).\n";
+      << "halves row traversals); both two-pass variants beat psuzuki by a\n"
+      << "wide margin on the spiral, whose snaking component forces many\n"
+      << "propagation iterations — the multi-pass pathology that motivates\n"
+      << "two-pass labeling (paper §I-II).\n";
   return 0;
 }

@@ -1,8 +1,8 @@
 // Fused connected-component analysis throughput: label_with_stats (features
 // accumulated during the labeling scan) against the two-pass baseline
 // label() + analysis::compute_stats (a full re-read of the label plane),
-// for each fused path — sequential AREMSP, in-process tiled PAREMSP, and
-// the engine's sharded pipeline.
+// for each fused path — sequential AREMSP, in-process run-based tiled
+// PAREMSP (paremsp2d_rle), and the engine's sharded pipeline.
 //
 // Both sides of every comparison run on warm scratch (label_into /
 // label_with_stats_into through one reused LabelScratch; the engine keeps
@@ -34,7 +34,7 @@
 #include "common/timer.hpp"
 #include "core/aremsp.hpp"
 #include "core/label_scratch.hpp"
-#include "core/paremsp_tiled.hpp"
+#include "core/rle_labelers.hpp"
 #include "engine/engine.hpp"
 #include "image/generators.hpp"
 
@@ -172,7 +172,7 @@ int main() {
 
   // --- Tiled PAREMSP (OpenMP) -----------------------------------------------
   {
-    const TiledParemspLabeler tiled(TiledParemspConfig{
+    const TiledParemspRleLabeler tiled(RleConfig{
         .threads = threads, .tile_rows = 256, .tile_cols = 256});
     LabelScratch scratch;
     const LabelingWithStats fused = tiled.label_with_stats_into(image,
@@ -181,7 +181,8 @@ int main() {
                          analysis::compute_stats(
                              fused.labeling.labels,
                              fused.labeling.num_components))) {
-      std::cerr << "MISMATCH: paremsp2d fused stats differ from post-pass\n";
+      std::cerr << "MISMATCH: paremsp2d_rle fused stats differ from "
+                   "post-pass\n";
       ++failures;
     }
     const double postpass_ms = best_ms(reps, [&] {
@@ -193,7 +194,7 @@ int main() {
       const LabelingWithStats r = tiled.label_with_stats_into(image, scratch);
       if (r.stats.count() != components) ++failures;
     });
-    record("paremsp2d", postpass_ms, fused_ms);
+    record("paremsp2d_rle", postpass_ms, fused_ms);
   }
 
   // --- Engine sharded pipeline ----------------------------------------------

@@ -8,12 +8,14 @@
 //   * locked/b{0,6,12}    Algorithm 8 on striped lock pools (S5 sweep)
 //   * cas                 lock-free compare-and-swap REM
 //
-// Workload: 2-D tiled PAREMSP with small tiles, so Phase II gets seam
-// traffic on both axes, swept over foreground densities (seam-pair
-// density tracks foreground density) and worker counts. Before timing,
-// EVERY configuration is verified bit-identical to sequential AREMSP —
-// the §3/§11 invariant that the component minimum survives as root under
-// any schedule; the process exits nonzero on a mismatch.
+// Workload: 2-D tiled PAREMSP (paremsp2d_rle, the run-based tile
+// pipeline, whose seam merges unite boundary-run pairs) with small tiles,
+// so Phase II gets seam traffic on both axes, swept over foreground
+// densities (seam-pair density tracks foreground density) and worker
+// counts. Before timing, EVERY configuration is verified bit-identical
+// to sequential AREMSP — the §3/§11 invariant that the component minimum
+// survives as root under any schedule; the process exits nonzero on a
+// mismatch.
 //
 // Besides the tables, writes BENCH_merge.json (repo root via
 // artifact_path): one flat record per (backend, density, threads) with
@@ -36,7 +38,7 @@
 #include "core/aremsp.hpp"
 #include "core/label_scratch.hpp"
 #include "core/paremsp.hpp"
-#include "core/paremsp_tiled.hpp"
+#include "core/rle_labelers.hpp"
 #include "image/generators.hpp"
 #include "unionfind/lock_pool.hpp"
 
@@ -85,6 +87,7 @@ void write_json(const std::string& path, Coord rows, Coord cols,
   }
   std::fprintf(f,
                "{\n  \"bench\": \"throughput_merge\",\n"
+               "  \"algorithm\": \"paremsp2d_rle\",\n"
                "  \"image\": {\"rows\": %lld, \"cols\": %lld, "
                "\"mpx\": %.3f},\n"
                "  \"tile\": {\"rows\": %lld, \"cols\": %lld},\n"
@@ -152,12 +155,12 @@ int main() {
       std::vector<std::string> row = {config.name};
       std::uint64_t retries_at_max = 0;
       for (const int threads : thread_counts) {
-        const TiledParemspLabeler labeler(
-            TiledParemspConfig{.threads = threads,
-                               .tile_rows = tile,
-                               .tile_cols = tile,
-                               .merge_backend = config.backend,
-                               .lock_bits = config.lock_bits});
+        const TiledParemspRleLabeler labeler(
+            RleConfig{.threads = threads,
+                      .tile_rows = tile,
+                      .tile_cols = tile,
+                      .merge_backend = config.backend,
+                      .lock_bits = config.lock_bits});
         // Bit-identity gate before any timing: every backend must
         // reproduce sequential AREMSP exactly (DESIGN.md §11).
         const LabelingResult got = labeler.label_into(image, scratch);

@@ -1,7 +1,8 @@
 // Run-based scan throughput: the rle algorithms (bit-packed row encoding
 // + run merging, core/runs.hpp) against their pixel-scan twins across a
-// foreground-density sweep, plus the engine's sharded ShardScan::Runs
-// pipeline against the pixel shards.
+// foreground-density sweep: aremsp_rle against sequential AREMSP and
+// paremsp_rle against the paper's PAREMSP. The 2-D tiled and sharded
+// pipelines are run-based only, so they have no pixel twin to race.
 //
 // Both sides of every pair run label_into on one warm LabelScratch
 // (best-of-reps), so the measured difference is the scan layer itself.
@@ -51,9 +52,7 @@
 #include "core/aremsp.hpp"
 #include "core/label_scratch.hpp"
 #include "core/paremsp.hpp"
-#include "core/paremsp_tiled.hpp"
 #include "core/rle_labelers.hpp"
-#include "engine/engine.hpp"
 #include "image/generators.hpp"
 #include "obs/trace.hpp"
 
@@ -222,46 +221,6 @@ int main() {
     const ParemspLabeler paremsp(ParemspConfig{.threads = threads});
     const ParemspRleLabeler paremsp_rle(RleConfig{.threads = threads});
     compare("paremsp", density, image, paremsp, paremsp_rle);
-
-    const TiledParemspLabeler tiled(TiledParemspConfig{
-        .threads = threads, .tile_rows = 256, .tile_cols = 256});
-    const TiledParemspRleLabeler tiled_rle(RleConfig{
-        .threads = threads, .tile_rows = 256, .tile_cols = 256});
-    compare("paremsp2d", density, image, tiled, tiled_rle);
-  }
-
-  // Engine sharded pipeline: pixel vs run scan kernels, one mid-density
-  // image (the shard phases are identical apart from the scan layer).
-  {
-    const BinaryImage image = gen::landcover_like(side, side, 77);
-    engine::LabelingEngine eng({.workers = threads});
-    const engine::ShardOptions pixel_opts{.tile_rows = 512, .tile_cols = 512};
-    engine::ShardOptions rle_opts = pixel_opts;
-    rle_opts.scan = ShardScan::Runs;
-    const LabelingResult want = eng.label_sharded(image, pixel_opts);
-    const LabelingResult got = eng.label_sharded(image, rle_opts);
-    if (got.num_components != want.num_components ||
-        got.labels != want.labels) {
-      std::cerr << "MISMATCH: sharded runs differ from sharded pixel\n";
-      ++failures;
-    } else {
-      const double pixel_ms = best_ms(reps, [&] {
-        (void)eng.label_sharded(image, pixel_opts);
-      });
-      const double rle_ms = best_ms(reps, [&] {
-        (void)eng.label_sharded(image, rle_opts);
-      });
-      RleRecord r;
-      r.pair = "engine.sharded 512x512";
-      r.density = 0.5;  // landcover stand-in, roughly half foreground
-      r.reps = reps;
-      r.pixel_mpx = mpx / (pixel_ms / 1e3);
-      r.rle_mpx = mpx / (rle_ms / 1e3);
-      table.add_row({r.pair, "landcover", TextTable::num(r.pixel_mpx, 1),
-                     TextTable::num(r.rle_mpx, 1),
-                     TextTable::num(r.speedup(), 2) + "x"});
-      runs.push_back(r);
-    }
   }
 
   std::cout << table.to_string() << "\n";

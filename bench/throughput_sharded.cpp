@@ -1,7 +1,8 @@
 // Sharded huge-image throughput: one large raster through
 // LabelingEngine::label_sharded at several tile geometries and worker
 // counts, against single-thread sequential AREMSP as the speedup baseline
-// and in-process tiled PAREMSP as the OpenMP reference point.
+// and in-process run-based tiled PAREMSP (paremsp2d_rle, the same phase
+// code) as the OpenMP reference point.
 //
 // Besides the human-readable table, the bench writes BENCH_sharded.json
 // (machine-readable trajectory record; schema below) so successive PRs can
@@ -35,7 +36,7 @@
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "core/aremsp.hpp"
-#include "core/paremsp_tiled.hpp"
+#include "core/rle_labelers.hpp"
 #include "engine/engine.hpp"
 #include "image/generators.hpp"
 
@@ -206,13 +207,13 @@ int main() {
 
   // --- In-process tiled PAREMSP reference (OpenMP, same phase code) ---------
   {
-    const TiledParemspLabeler tiled(TiledParemspConfig{
+    const TiledParemspRleLabeler tiled(RleConfig{
         .threads = max_threads, .tile_rows = 256, .tile_cols = 256});
     const auto ms = sample_latencies(
         reps, reference.num_components, [&] { return tiled.label(image); },
         failures);
     RunRecord r;
-    r.algo = "paremsp2d";
+    r.algo = "paremsp2d_rle";
     r.tile_rows = 256;
     r.tile_cols = 256;
     r.tiles = tile_count(side, side, 256, 256);

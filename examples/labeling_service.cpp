@@ -198,15 +198,14 @@ int main(int argc, char** argv) {
   }
   for (std::thread& c : clients) c.join();
 
-  // One run-scan sharded request across the pool: the shard.scan /
+  // One sharded request across the pool: the shard.scan /
   // shard.merge / shard.flatten / shard.rewrite spans appear on every
   // worker's trace track.
   if (sharded_side) {
     const BinaryImage huge = gen::landcover_like(768, 768, 99);
     LabelRequest request;
     request.input = huge;
-    request.shard = ShardOptions{
-        .tile_rows = 256, .tile_cols = 256, .scan = ShardScan::Runs};
+    request.shard = ShardOptions{.tile_rows = 256, .tile_cols = 256};
     LabelResponse response = eng.submit(std::move(request)).get();
     const PhaseCounters& c = response.timings.counters;
     std::cout << "sharded run-scan: " << response.num_components

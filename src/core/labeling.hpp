@@ -45,7 +45,6 @@ enum class Algorithm {
   Cclremsp,        // paper §III-A: decision tree + REMSP
   Aremsp,          // paper §III-B: two-line scan + REMSP
   Paremsp,         // paper §IV: parallel AREMSP
-  ParemspTiled,    // extension: 2-D tiled PAREMSP
   AremspRle,       // extension: run-based AREMSP (bit-packed rows)
   ParemspRle,      // extension: run-based PAREMSP (row bands)
   ParemspTiledRle, // extension: run-based 2-D tiled PAREMSP

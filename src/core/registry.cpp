@@ -13,14 +13,13 @@
 #include "core/aremsp.hpp"
 #include "core/cclremsp.hpp"
 #include "core/paremsp.hpp"
-#include "core/paremsp_tiled.hpp"
 #include "core/rle_labelers.hpp"
 
 namespace paremsp {
 
 namespace {
 
-constexpr std::array<AlgorithmInfo, 13> kCatalog{{
+constexpr std::array<AlgorithmInfo, 12> kCatalog{{
     {Algorithm::FloodFill, "floodfill",
      "BFS flood fill (ground-truth oracle)", false, true, false, true},
     {Algorithm::Suzuki, "suzuki",
@@ -44,8 +43,6 @@ constexpr std::array<AlgorithmInfo, 13> kCatalog{{
     {Algorithm::Paremsp, "paremsp",
      "paper: parallel AREMSP (OpenMP, boundary merge)", true, false, true,
      true, true},
-    {Algorithm::ParemspTiled, "paremsp2d",
-     "extension: 2-D tiled PAREMSP", true, false, false, true, true},
     {Algorithm::AremspRle, "aremsp_rle",
      "extension: run-based AREMSP (bit-packed rows, run merging)", false,
      true, false, true, true},
@@ -111,11 +108,6 @@ std::unique_ptr<Labeler> make_labeler(Algorithm algorithm,
           ParemspConfig{.threads = options.threads,
                         .merge_backend = options.merge_backend,
                         .lock_bits = options.lock_bits});
-    case Algorithm::ParemspTiled:
-      return std::make_unique<TiledParemspLabeler>(TiledParemspConfig{
-          .threads = options.threads,
-          .merge_backend = options.merge_backend,
-          .lock_bits = options.lock_bits});
     case Algorithm::AremspRle:
       return std::make_unique<AremspRleLabeler>(options.connectivity);
     case Algorithm::ParemspRle:

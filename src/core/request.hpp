@@ -46,16 +46,14 @@ struct OutputSet {
   bool stats = false;  // per-component area/bbox/centroid (fused when able)
 };
 
-/// Which scan kernel the sharded tile pipeline runs per tile.
+/// Per-tile scan kernel of the sharded and streaming pipelines. The
+/// run-based scan over bit-packed rows (both connectivities; seam merges
+/// operate on the boundary runs of adjacent tiles) is the only one, so
+/// the enum selects nothing. It stays because the engine benchmark
+/// (perfbench/src/main.cpp) assigns ShardScan::Runs.
 enum class ShardScan {
-  Pixel,  // AREMSP two-line pixel scan (8-connectivity only)
-  Runs,   // run-based scan over bit-packed rows (both connectivities;
-          // seam merges operate on the boundary runs of adjacent tiles)
+  Runs,
 };
-
-[[nodiscard]] constexpr const char* to_string(ShardScan s) noexcept {
-  return s == ShardScan::Pixel ? "pixel" : "runs";
-}
 
 /// Tuning knobs for sharded execution of one huge image across the
 /// engine's worker pool (the scan → seam-merge → flatten → rewrite
@@ -68,12 +66,13 @@ struct ShardOptions {
   Coord tile_rows = 512;
   /// Tile width in columns. Minimum 1.
   Coord tile_cols = 512;
-  /// Per-tile scan kernel. Runs selects the run-based pipeline
-  /// (core/runs.hpp): bit-packed row extraction, one union per
-  /// overlapping boundary-run pair at the seams, fill-width rewrite —
-  /// still bit-identical to sequential AREMSP for 8-connectivity via the
-  /// same canonical renumber, and additionally 4-conn capable.
-  ShardScan scan = ShardScan::Pixel;
+  /// Per-tile scan kernel. Selects nothing: every shard runs the
+  /// run-based pipeline (core/runs.hpp) — bit-packed row extraction, one
+  /// union per overlapping boundary-run pair at the seams, fill-width
+  /// rewrite — bit-identical to sequential AREMSP (8-connectivity) and
+  /// CCLREMSP (4-connectivity). Kept only because the engine benchmark
+  /// (perfbench/src/main.cpp) assigns ShardScan::Runs.
+  ShardScan scan = ShardScan::Runs;
   /// Seam-merge backend (shared with PAREMSP). Sequential runs every seam
   /// in one job — the ablation lower bound — since rem_unite must not run
   /// concurrently; the parallel backends get one merge job per tile.

@@ -1,5 +1,5 @@
-// Run-based (RLE) labelers — the run-scan twins of AREMSP, PAREMSP and
-// tiled PAREMSP.
+// Run-based (RLE) labelers — the run-scan twins of AREMSP and PAREMSP,
+// plus their 2-D tiled extension.
 //
 // All three compose the same run-based phases from core/tiled_phases.hpp
 // over a tile grid; they differ only in how the grid is cut and how the
@@ -11,8 +11,8 @@
 //                  RUNS merged by the Algorithm-8 backends — the run twin
 //                  of PAREMSP;
 //   paremsp2d_rle  a 2-D tile grid with run seam merges on both axes —
-//                  the run twin of tiled PAREMSP (and the kernel set the
-//                  engine's sharded ShardScan::Runs path reuses).
+//                  the only 2-D tiled labeler (and the kernel set the
+//                  engine's sharded path reuses).
 //
 // The pipeline per tile: RowBits packs each row into 64-pixel words, runs
 // are emitted by ctz/popcount word scanning, each run records ONE
@@ -25,8 +25,8 @@
 // Bit-identity: for 8-connectivity the canonical renumber
 // (resolve_final_run_labels) restores sequential AREMSP's two-line
 // first-appearance numbering, so all three are bit-identical to
-// AremspLabeler for every thread count and tile geometry. Unlike their
-// pixel twins they also support 4-connectivity (the run overlap window is
+// AremspLabeler for every thread count and tile geometry. Unlike the
+// pixel AREMSP/PAREMSP they also support 4-connectivity (the run overlap window is
 // the only place connectivity enters), numbering components in raster
 // first-appearance order like the one-line-scan algorithms.
 #pragma once

@@ -46,9 +46,9 @@ struct NoFeatureSink {
 
 /// Scan Phase of AREMSP/ARUN (paper Algorithm 6) over the rectangle
 /// rows [row_begin, row_end) x cols [col_begin, col_end); pixels outside
-/// the rectangle count as background (row chunking for PAREMSP, full 2-D
-/// tiling for the tiled extension). Returns the number of provisional
-/// labels issued through `eq` (eq.used()).
+/// the rectangle count as background (row chunking for PAREMSP; the
+/// row-range overloads below pass the full column span). Returns the
+/// number of provisional labels issued through `eq` (eq.used()).
 ///
 /// `sink` observes the labeling as it happens — sink.fresh(l) at every
 /// new-label event, then sink.add(l, r, c) once per labeled pixel — which
@@ -129,21 +129,12 @@ Label scan_two_line(ConstImageView image, MutableImageView labels, Equiv& eq,
   return eq.used();
 }
 
-/// Rectangle overload without feature accumulation (plain labeling).
-template <class Equiv>
-Label scan_two_line(ConstImageView image, MutableImageView labels, Equiv& eq,
-                    Coord row_begin, Coord row_end, Coord col_begin,
-                    Coord col_end) {
-  NoFeatureSink sink;
-  return scan_two_line(image, labels, eq, sink, row_begin, row_end, col_begin,
-                       col_end);
-}
-
 /// Row-range overload covering all columns (PAREMSP row chunks, AREMSP).
 template <class Equiv>
 Label scan_two_line(ConstImageView image, MutableImageView labels, Equiv& eq,
                     Coord row_begin, Coord row_end) {
-  return scan_two_line(image, labels, eq, row_begin, row_end, 0,
+  NoFeatureSink sink;
+  return scan_two_line(image, labels, eq, sink, row_begin, row_end, 0,
                        image.cols());
 }
 

@@ -64,7 +64,8 @@ struct EngineConfig {
   /// paper's fastest sequential algorithm — because with many images in
   /// flight, parallelism across images beats parallelism within one
   /// small image. Label large images by setting LabelRequest::shard
-  /// (ShardScan::Runs), which fans the work out over this engine's own
+  /// (default ShardOptions run the run-based tile pipeline, either
+  /// connectivity), which fans the work out over this engine's own
   /// workers. Algorithm::Paremsp with labeler.threads > 1 would instead
   /// fork an OpenMP team inside every worker: workers × threads runnable
   /// threads on the same cores.

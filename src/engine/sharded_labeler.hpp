@@ -5,14 +5,20 @@
 // decomposed into a grid of tiles (core/tiled_phases.hpp) and labeled as a
 // dataflow of engine jobs:
 //
-//   submit(request with .shard) ──► scan job per tile ──┐ (completion latch)
-//                                                       ▼
-//                      seam-merge job per tile (parallel REM, Algorithm 8)
-//                                          │ (completion latch)
-//                                          ▼
-//                      FLATTEN + canonical renumber (one worker)
-//                                          │
-//                      rewrite job per row band ──► deliver(LabelResponse)
+//   submit(request with .shard) ──► run-scan job per tile ──┐ (latch)
+//                                                           ▼
+//              boundary-run seam-merge job per tile (parallel REM,
+//              Algorithm 8)        │ (completion latch)
+//                                  ▼
+//              FLATTEN + canonical run renumber (one worker)
+//                                  │
+//              rewrite job per tile ──► deliver(LabelResponse)
+//
+// Each tile scan extracts the tile's runs over bit-packed rows (the
+// threshold, when set, fused into the extraction) and carries the
+// provisional labels on the runs; the rewrite expands the resolved run
+// labels straight into the output, which is written exactly once. A
+// request with no label destination (stats only) skips the rewrite.
 //
 // Fan-in uses a per-phase completion latch on the shared run state rather
 // than one future per tile job: the worker that decrements the latch to
@@ -23,10 +29,11 @@
 // deadlock the pool); only the initial tile fan-out from the submitting
 // thread takes the bounded, backpressured push.
 //
-// Output is bit-identical to sequential AREMSP for every tile geometry and
-// worker count — the canonical scan-order first-appearance renumber inside
-// resolve_final_labels restores the sequential numbering that 2-D label
-// bases permute (DESIGN.md §5). The pipeline reads the request's input
+// Output is bit-identical to sequential AREMSP (8-connectivity) and
+// CCLREMSP (4-connectivity) for every tile geometry and worker count — the
+// canonical first-appearance renumber inside resolve_final_run_labels
+// restores the sequential numbering that 2-D label bases permute
+// (DESIGN.md §5). The pipeline reads the request's input
 // through its ConstImageView — a strided ROI shards zero-copy exactly like
 // a packed raster — and honors the request's OutputSet and label_out like
 // any other request: stats requests thread per-tile feature cells through

@@ -35,9 +35,6 @@ class OffsetFeatureSink {
       : cells_(cells), off_(row_offset) {}
 
   void fresh(Label l) noexcept { cells_[static_cast<std::size_t>(l)] = {}; }
-  void add(Label l, Coord r, Coord c) noexcept {
-    cells_[static_cast<std::size_t>(l)].add_pixel(r + off_, c);
-  }
   void add_run(Label l, Coord r, Coord col_begin, Coord col_end) noexcept {
     cells_[static_cast<std::size_t>(l)].add_run(r + off_, col_begin, col_end);
   }
@@ -57,12 +54,6 @@ SlabSession::SlabSession(StreamOptions options) : options_(options) {
     // Exact integer form of im2bw's compare (see LabelRequest::threshold).
     cutoff_ = static_cast<int>(*options_.threshold * 255.0);
   }
-  // Same support matrix as the sharded pipeline: the AREMSP two-line
-  // pixel scan exists for 8-connectivity only.
-  PAREMSP_REQUIRE(
-      options_.scan == ShardScan::Runs ||
-          options_.connectivity == Connectivity::Eight,
-      "pixel scan mode supports 8-connectivity only (use Runs for 4)");
   window_ = run_overlap_window(options_.connectivity);
   // Track id 0 is the background sentinel; live tracks are 1-based.
   track_parent_.push_back(0);
@@ -109,57 +100,18 @@ Label SlabSession::track_new() {
 
 Label SlabSession::scan_slab(ConstImageView slab, std::span<Label> parents,
                              std::span<analysis::FeatureCell> cells,
-                             RunBuffer& runs, LabelImage* plane) {
+                             RunBuffer& runs) {
   const Coord rows = slab.rows();
   const Coord cols = options_.cols;
   RemEquiv eq(parents);
-
-  if (options_.scan == ShardScan::Runs) {
-    if (options_.stats) {
-      OffsetFeatureSink sink(cells, global_row_);
-      return scan_runs_one_line(slab, runs, eq, sink, options_.connectivity,
-                                0, rows, 0, cols, cutoff_);
-    }
-    NoFeatureSink sink;
+  if (options_.stats) {
+    OffsetFeatureSink sink(cells, global_row_);
     return scan_runs_one_line(slab, runs, eq, sink, options_.connectivity, 0,
                               rows, 0, cols, cutoff_);
   }
-
-  // Pixel mode: the AREMSP two-line scan labels the plane, then the
-  // slab's runs are extracted separately for the seam bookkeeping. The
-  // pixel kernels have no fused threshold path, so binarize upfront
-  // (same as the sharded pixel pipeline).
-  ConstImageView source = slab;
-  if (cutoff_ >= 0) {
-    pixel_binary_.resize_for_overwrite(rows, cols);
-    for (Coord r = 0; r < rows; ++r) {
-      const std::uint8_t* src = slab.row(r);
-      std::uint8_t* dst = pixel_binary_.row(r);
-      for (Coord c = 0; c < cols; ++c) {
-        dst[c] = src[c] > cutoff_ ? std::uint8_t{1} : std::uint8_t{0};
-      }
-    }
-    source = ConstImageView(pixel_binary_);
-  }
-  MutableImageView out(*plane);
-  Label used = 0;
-  if (options_.stats) {
-    OffsetFeatureSink sink(cells, global_row_);
-    used = scan_two_line(source, out, eq, sink, 0, rows, 0, cols);
-  } else {
-    used = scan_two_line(source, out, eq, 0, rows, 0, cols);
-  }
-  runs.extract(source, 0, rows, 0, cols, /*threshold=*/-1);
-  // A run's pixels may hold different provisional labels, but they are
-  // one equivalence class (the scan merges every left-adjacency), so any
-  // member — the first pixel's — stands for the run in the parent forest.
-  for (Coord r = 0; r < rows; ++r) {
-    const Label* row = plane->row(r);
-    for (Run& run : runs.row(r)) {
-      run.label = row[run.col_begin];
-    }
-  }
-  return used;
+  NoFeatureSink sink;
+  return scan_runs_one_line(slab, runs, eq, sink, options_.connectivity, 0,
+                            rows, 0, cols, cutoff_);
 }
 
 SlabResult SlabSession::push_slab(ConstImageView slab) {
@@ -186,16 +138,14 @@ SlabResult SlabSession::push_slab(ConstImageView slab) {
   std::span<analysis::FeatureCell> cells;
   if (options_.stats) cells = scratch_.feature_cells(label_space);
   RunBuffer& runs = scratch_.run_buffers(1)[0];
-  const bool want_plane =
-      options_.labels || options_.scan == ShardScan::Pixel;
+  // A counting/measuring stream (labels off) never materializes a plane.
   LabelImage plane;
-  if (want_plane) {
+  if (options_.labels) {
     plane = scratch_.acquire_plane(rows, cols, LabelScratch::PlaneInit::Dirty);
   }
 
   // 1. Scan the slab into a fresh forest of `used` provisional labels.
-  const Label used =
-      scan_slab(slab, parents, cells, runs, want_plane ? &plane : nullptr);
+  const Label used = scan_slab(slab, parents, cells, runs);
 
   // 2. Embed the carried seam runs as reserved slots above the slab's
   // labels and seam-merge them against the first row. REM roots every
@@ -311,20 +261,8 @@ SlabResult SlabSession::push_slab(ConstImageView slab) {
 
   // Rewrite the output plane to dense local ids.
   if (options_.labels) {
-    if (options_.scan == ShardScan::Runs) {
-      const TileSpec tile{0, rows, 0, cols, 0, used};
-      rewrite_run_labels(runs, parents, tile, MutableImageView(plane));
-    } else {
-      for (Coord r = 0; r < rows; ++r) {
-        Label* row = plane.row(r);
-        for (Coord c = 0; c < cols; ++c) {
-          const Label v = row[c];
-          if (v != 0) row[c] = parents[static_cast<std::size_t>(v)];
-        }
-      }
-    }
-  } else if (want_plane) {
-    scratch_.recycle_plane(std::move(plane));
+    const TileSpec tile{0, rows, 0, cols, 0, used};
+    rewrite_run_labels(runs, parents, tile, MutableImageView(plane));
   }
 
   // 5. The slab's bottom-row runs become the next carried seam.
@@ -348,9 +286,8 @@ SlabResult SlabSession::push_slab(ConstImageView slab) {
       label_space * sizeof(Label) +
       (options_.stats ? label_space * sizeof(analysis::FeatureCell) : 0) +
       runs.size() * sizeof(Run) +
-      (want_plane ? static_cast<std::size_t>(slab.size()) * sizeof(Label)
-                  : 0) +
-      pixel_binary_.size() * sizeof(std::uint8_t) +
+      (options_.labels ? static_cast<std::size_t>(slab.size()) * sizeof(Label)
+                       : 0) +
       local_min_key_.capacity() * sizeof(std::int64_t) +
       (dense_track_.capacity() + dense_root_.capacity() +
        open_scratch_.capacity()) *

@@ -23,7 +23,7 @@
 //
 // Consistency contract (proved by tests/test_stream.cpp differentially
 // against one-shot AremspRle over slab-height sweeps including 1-row
-// slabs, both connectivities, both scan modes): the final component
+// slabs and both connectivities): the final component
 // COUNT, the per-component stats (bit-identical FeatureCell sums), and
 // the composed labeling remap[k][slab k's plane] all equal one-shot
 // labeling of the vertically concatenated image. Final label order is
@@ -92,11 +92,10 @@ struct StreamOptions {
 
   Connectivity connectivity = Connectivity::Eight;
 
-  /// Per-slab scan kernel, same vocabulary as sharded execution:
-  /// Runs scans bit-packed runs directly (both connectivities, fused
-  /// threshold); Pixel runs the AREMSP two-line pixel scan
-  /// (8-connectivity only) and derives the seam runs from the slab
-  /// afterwards.
+  /// Per-slab scan kernel, same vocabulary as sharded execution. Selects
+  /// nothing: every slab is scanned as bit-packed runs (both
+  /// connectivities, fused threshold). Kept only because the engine
+  /// benchmark (perfbench/src/main.cpp) assigns ShardScan::Runs.
   ShardScan scan = ShardScan::Runs;
 
   /// Grayscale fusion, same contract as LabelRequest::threshold: slabs
@@ -105,8 +104,7 @@ struct StreamOptions {
   std::optional<double> threshold;
 
   /// Return each slab's label plane from push_slab (local dense ids).
-  /// Off = counting/measuring stream: no plane is materialized in Runs
-  /// mode at all.
+  /// Off = counting/measuring stream: no plane is materialized at all.
   bool labels = true;
 
   /// Accumulate fused per-component features across the stream;
@@ -174,8 +172,8 @@ struct StreamResult {
 /// while pipelining slabs of DIFFERENT sessions across workers).
 class SlabSession {
  public:
-  /// Validates options (cols >= 1, threshold within [0, 1], Pixel scan
-  /// requires 8-connectivity) — throws PreconditionError otherwise.
+  /// Validates options (cols >= 1, threshold within [0, 1]) — throws
+  /// PreconditionError otherwise.
   explicit SlabSession(StreamOptions options);
 
   SlabSession(const SlabSession&) = delete;
@@ -232,11 +230,9 @@ class SlabSession {
   /// Allocate a fresh track id (parent = self, key = +inf, empty cell).
   [[nodiscard]] Label track_new();
 
-  /// Scan one slab in the selected mode; returns provisional labels
-  /// issued. Pixel mode labels into *plane; Runs mode ignores it.
+  /// Scan one slab into `runs`; returns provisional labels issued.
   Label scan_slab(ConstImageView slab, std::span<Label> parents,
-                  std::span<analysis::FeatureCell> cells, RunBuffer& runs,
-                  LabelImage* plane);
+                  std::span<analysis::FeatureCell> cells, RunBuffer& runs);
 
   StreamOptions options_;
   Coord window_ = 1;   // run_overlap_window(connectivity)
@@ -246,7 +242,6 @@ class SlabSession {
   std::size_t slab_index_ = 0;
 
   LabelScratch scratch_;       // per-slab parents/cells/runs/planes (pooled)
-  BinaryImage pixel_binary_;   // Pixel-mode upfront binarization scratch
 
   // ---- Seam state carried between slabs --------------------------------
   std::vector<Run> carried_runs_;      // bottom-row runs of the last slab

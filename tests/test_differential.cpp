@@ -29,7 +29,7 @@
 #include "analysis/validation.hpp"
 #include "common/contracts.hpp"
 #include "common/env.hpp"
-#include "core/paremsp_tiled.hpp"
+#include "core/rle_labelers.hpp"
 #include "core/registry.hpp"
 #include "fixtures.hpp"
 #include "image/ascii.hpp"
@@ -175,7 +175,7 @@ TEST(Differential, FusedStatsAcrossDegenerateTileGeometries) {
       {1, 1}, {1, 3}, {3, 1}, {2, 2}, {5, 4}, {4, 16}, {16, 4},
   };
   const std::uint64_t base = test_seed(0x71e5);
-  const AlgorithmInfo& info = algorithm_info(Algorithm::ParemspTiled);
+  const AlgorithmInfo& info = algorithm_info(Algorithm::ParemspTiledRle);
   for (std::uint64_t i = 0; i < 6; ++i) {
     const std::uint64_t seed = base + i;
     const double density = 0.15 + 0.7 * static_cast<double>(i) / 5.0;
@@ -185,8 +185,8 @@ TEST(Differential, FusedStatsAcrossDegenerateTileGeometries) {
     const auto reference =
         make_labeler(Algorithm::Aremsp)->label_with_stats(image);
     for (const auto& [tr, tc] : geometries) {
-      const TiledParemspLabeler tiled(
-          TiledParemspConfig{.tile_rows = tr, .tile_cols = tc});
+      const TiledParemspRleLabeler tiled(
+          RleConfig{.tile_rows = tr, .tile_cols = tc});
       const LabelingWithStats ws = tiled.label_with_stats(image);
       // Tiled output is bit-identical to AREMSP, so the stats must match
       // the reference's component for component, not only as a multiset.

@@ -7,8 +7,9 @@
 // The fused-stats algorithms additionally run label_with_stats on every
 // image, cross-checked against the post-pass compute_stats oracle — an
 // exhaustive proof that the accumulate-during-scan hooks fire on every
-// branch of the two-line mask (including forced multi-chunk PAREMSP and
-// degenerate 1-pixel tiled grids, where all merging happens at seams).
+// branch of the two-line mask (including forced multi-chunk PAREMSP) and
+// of the run scan (including degenerate 1-pixel tiled grids, where all
+// merging happens at seams).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -59,19 +60,16 @@ TEST_P(ExhaustiveShape, AllAlgorithmsMatchOracleOnEveryImage) {
   labelers.push_back(std::make_unique<ParemspLabeler>(ParemspConfig{3}));
 
   // Fused-stats configurations: exhaustively cross-checked against the
-  // post-pass oracle. Degenerate tile grids route every adjacency through
-  // seam merges, so the accumulator fold sees maximal fragmentation.
+  // post-pass oracle.
   std::vector<std::unique_ptr<Labeler>> fused;
   fused.push_back(std::make_unique<AremspLabeler>());
   fused.push_back(std::make_unique<ParemspLabeler>(ParemspConfig{2}));
   fused.push_back(std::make_unique<ParemspLabeler>(ParemspConfig{3}));
-  fused.push_back(std::make_unique<TiledParemspLabeler>(
-      TiledParemspConfig{.tile_rows = 1, .tile_cols = 1}));
-  fused.push_back(std::make_unique<TiledParemspLabeler>(
-      TiledParemspConfig{.tile_rows = 2, .tile_cols = 3}));
-  // Run-based configurations: degenerate tile grids chop every run down
-  // to tile width, so the boundary-run seam merges and the run renumber
-  // see maximal fragmentation on every mask configuration.
+  // Run-based configurations: degenerate tile grids (down to 1-pixel
+  // tiles) chop every run down to tile width and route every adjacency
+  // through seam merges, so the boundary-run seam merges, the run
+  // renumber and the accumulator fold see maximal fragmentation on every
+  // mask configuration.
   fused.push_back(std::make_unique<AremspRleLabeler>());
   fused.push_back(
       std::make_unique<ParemspRleLabeler>(RleConfig{.threads = 2}));

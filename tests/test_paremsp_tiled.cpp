@@ -1,5 +1,6 @@
-// Tests for the 2-D tiled PAREMSP extension: bit-identical output to
-// sequential AREMSP on adversarial tile grids (the canonical renumber in
+// Tests for the 2-D tiled PAREMSP extension (paremsp2d_rle, the run-based
+// tile pipeline): bit-identical output to sequential AREMSP on
+// adversarial tile grids (the canonical run renumber in
 // core/tiled_phases.cpp makes every grid geometry exact, not merely
 // partition-equivalent), determinism, and degenerate tile shapes down to
 // single-pixel tiles.
@@ -9,23 +10,23 @@
 
 #include "analysis/validation.hpp"
 #include "core/aremsp.hpp"
-#include "core/paremsp_tiled.hpp"
+#include "core/rle_labelers.hpp"
 #include "fixtures.hpp"
 #include "image/generators.hpp"
 
 namespace paremsp {
 namespace {
 
-TiledParemspLabeler tiled(Coord tile_rows, Coord tile_cols, int threads = 3,
-                          MergeBackend backend = MergeBackend::LockedRem) {
-  return TiledParemspLabeler(TiledParemspConfig{
-      .threads = threads,
-      .tile_rows = tile_rows,
-      .tile_cols = tile_cols,
-      .merge_backend = backend});
+TiledParemspRleLabeler tiled(Coord tile_rows, Coord tile_cols,
+                             int threads = 3,
+                             MergeBackend backend = MergeBackend::LockedRem) {
+  return TiledParemspRleLabeler(RleConfig{.threads = threads,
+                                          .tile_rows = tile_rows,
+                                          .tile_cols = tile_cols,
+                                          .merge_backend = backend});
 }
 
-void expect_matches_aremsp(const TiledParemspLabeler& labeler,
+void expect_matches_aremsp(const TiledParemspRleLabeler& labeler,
                            const BinaryImage& image,
                            const std::string& what) {
   SCOPED_TRACE(what);
@@ -136,19 +137,19 @@ TEST(TiledParemsp, OddSizedEdgesAndTinyImages) {
 }
 
 TEST(TiledParemsp, ConfigValidation) {
-  EXPECT_THROW(TiledParemspLabeler(TiledParemspConfig{.threads = -1}),
+  EXPECT_THROW(TiledParemspRleLabeler(RleConfig{.threads = -1}),
                PreconditionError);
-  EXPECT_THROW(TiledParemspLabeler(TiledParemspConfig{.tile_rows = 0}),
+  EXPECT_THROW(TiledParemspRleLabeler(RleConfig{.tile_rows = 0}),
                PreconditionError);
-  EXPECT_THROW(TiledParemspLabeler(TiledParemspConfig{.tile_cols = 0}),
+  EXPECT_THROW(TiledParemspRleLabeler(RleConfig{.tile_cols = 0}),
                PreconditionError);
-  EXPECT_THROW(TiledParemspLabeler(TiledParemspConfig{.lock_bits = 99}),
+  EXPECT_THROW(TiledParemspRleLabeler(RleConfig{.lock_bits = 99}),
                PreconditionError);
   // Odd tile heights are legal: the canonical renumber makes any grid
   // geometry bit-identical, so no even-rounding is needed.
-  const TiledParemspLabeler ok(TiledParemspConfig{.tile_rows = 3});
+  const TiledParemspRleLabeler ok(RleConfig{.tile_rows = 3});
   EXPECT_EQ(ok.config().tile_rows, 3);
-  EXPECT_EQ(ok.name(), "paremsp2d");
+  EXPECT_EQ(ok.name(), "paremsp2d_rle");
   EXPECT_TRUE(ok.is_parallel());
 }
 

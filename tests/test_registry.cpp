@@ -32,8 +32,9 @@ TEST(Registry, CatalogIsCompleteAndUnique) {
   EXPECT_EQ(names,
             (std::set<std::string_view>{
                 "floodfill", "suzuki", "psuzuki", "run", "arun", "ccllrpc",
-                "cclremsp", "aremsp", "paremsp", "paremsp2d", "aremsp_rle",
-                "paremsp_rle", "paremsp2d_rle"}));
+                "cclremsp", "aremsp", "paremsp", "aremsp_rle", "paremsp_rle",
+                "paremsp2d_rle"}));
+  EXPECT_EQ(catalog.size(), 12u);
   EXPECT_EQ(names.size(), catalog.size());
   EXPECT_EQ(ids.size(), catalog.size());
 }
@@ -53,8 +54,8 @@ TEST(Registry, ParallelAlgorithmsAreFlagged) {
     if (info.parallel) parallel.insert(info.name);
   }
   EXPECT_EQ(parallel,
-            (std::set<std::string_view>{"paremsp", "paremsp2d", "psuzuki",
-                                        "paremsp_rle", "paremsp2d_rle"}));
+            (std::set<std::string_view>{"paremsp", "psuzuki", "paremsp_rle",
+                                        "paremsp2d_rle"}));
 }
 
 TEST(Registry, RleAlgorithmsAreCatalogedForTheRegistryDrivenSuites) {

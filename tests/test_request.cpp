@@ -222,18 +222,23 @@ TEST(LabelRequestApi, ShardedRequestHonorsLabelOutAndRoi) {
   EXPECT_EQ(destination, want.labels);
 }
 
-TEST(LabelRequestApi, ShardedRequestRejectsFourConnectivity) {
-  const BinaryImage image = test_image();
+TEST(LabelRequestApi, ShardedRequestHonorsRequestAndEngineConnectivity) {
+  // Noise has diagonal-only contacts, so the connectivities disagree.
+  const BinaryImage image = gen::uniform_noise(48, 64, 0.5, 11);
+  const LabelingResult four = make_labeler(
+      Algorithm::Cclremsp, LabelerOptions{.connectivity = Connectivity::Four})
+                                  ->label(image);
+  ASSERT_NE(four.labels, make_labeler(Algorithm::Aremsp)->label(image).labels);
   LabelingEngine eng(EngineConfig{.workers = 1});
   LabelRequest request;
   request.input = image;
   request.connectivity = Connectivity::Four;
   request.shard = ShardOptions{};
-  EXPECT_THROW((void)eng.submit(std::move(request)), PreconditionError);
+  EXPECT_EQ(eng.submit(std::move(request)).get().labels, four.labels);
 
   // The engine's configured default connectivity applies to sharded
-  // requests exactly like to worker jobs: a 4-connectivity default must
-  // be rejected too, never silently relabeled 8-connected.
+  // requests exactly like to worker jobs: a 4-connectivity default labels
+  // 4-connected, never silently 8-connected.
   EngineConfig four_config;
   four_config.workers = 1;
   four_config.algorithm = Algorithm::Cclremsp;
@@ -242,8 +247,7 @@ TEST(LabelRequestApi, ShardedRequestRejectsFourConnectivity) {
   LabelRequest defaulted;
   defaulted.input = image;
   defaulted.shard = ShardOptions{};
-  EXPECT_THROW((void)four_eng.submit(std::move(defaulted)),
-               PreconditionError);
+  EXPECT_EQ(four_eng.submit(std::move(defaulted)).get().labels, four.labels);
   // An explicit 8-connectivity override on the same engine shards fine.
   LabelRequest eight;
   eight.input = image;

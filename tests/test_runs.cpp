@@ -1,8 +1,8 @@
 // The run-based scan layer: RowBits word packing, RunBuffer extraction
 // edge cases (cross-checked against a naive per-pixel extractor),
 // pitch-strided ROI subviews, and the rle labelers' bit-identity with
-// their pixel-scan twins — including fused stats and the engine's sharded
-// ShardScan::Runs pipeline.
+// the sequential pixel-scan algorithms — including fused stats and the
+// engine's sharded tile pipeline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +20,6 @@
 #include "core/cclremsp.hpp"
 #include "core/label_scratch.hpp"
 #include "core/paremsp.hpp"
-#include "core/paremsp_tiled.hpp"
 #include "core/registry.hpp"
 #include "core/rle_labelers.hpp"
 #include "core/runs.hpp"
@@ -547,7 +546,7 @@ TEST(Runs, ThresholdRequestWithStatsMatchesBinarizedOracle) {
                                   "fused threshold stats");
 }
 
-// --- Sharded engine: ShardScan::Runs ----------------------------------------
+// --- Sharded engine: the run-based tile pipeline -----------------------------
 
 TEST(Sharded, RunScanBitIdenticalToAremspAcrossGeometries) {
   const Coord rows = 61, cols = 83;
@@ -561,9 +560,7 @@ TEST(Sharded, RunScanBitIdenticalToAremspAcrossGeometries) {
                     : gen::uniform_noise(rows, cols, 0.5, seed + 7);
       const LabelingResult want = reference.label(image);
       const LabelingResult got = eng.label_sharded(
-          image, engine::ShardOptions{.tile_rows = tr,
-                                      .tile_cols = tc,
-                                      .scan = ShardScan::Runs});
+          image, engine::ShardOptions{.tile_rows = tr, .tile_cols = tc});
       const std::string context = "tiles " + std::to_string(tr) + "x" +
                                   std::to_string(tc) + " seed " +
                                   std::to_string(seed);
@@ -577,9 +574,7 @@ TEST(Sharded, RunScanWithStatsMatchesPostPassOracle) {
   engine::LabelingEngine eng({.workers = 2});
   const BinaryImage image = gen::landcover_like(64, 96, 21);
   const LabelingWithStats got = eng.label_sharded_with_stats(
-      image, engine::ShardOptions{.tile_rows = 16,
-                                  .tile_cols = 16,
-                                  .scan = ShardScan::Runs});
+      image, engine::ShardOptions{.tile_rows = 16, .tile_cols = 16});
   testing::expect_stats_identical(
       got.stats,
       analysis::compute_stats(got.labeling.labels,
@@ -588,16 +583,14 @@ TEST(Sharded, RunScanWithStatsMatchesPostPassOracle) {
 }
 
 TEST(Sharded, RunScanSupportsFourConnectivityViaRequestOverride) {
-  // The pixel sharded pipeline is tiled AREMSP and rejects 4-conn; the
-  // run pipeline is validated against paremsp2d_rle, which admits it.
+  // The sharded pipeline is validated against paremsp2d_rle, which
+  // admits 4-connectivity.
   engine::LabelingEngine eng({.workers = 2});
   const BinaryImage image = gen::uniform_noise(40, 56, 0.5, 5);
   LabelRequest request;
   request.input = image;
   request.connectivity = Connectivity::Four;
-  request.shard = ShardOptions{.tile_rows = 13,
-                               .tile_cols = 11,
-                               .scan = ShardScan::Runs};
+  request.shard = ShardOptions{.tile_rows = 13, .tile_cols = 11};
   const LabelResponse response = eng.submit(request).get();
   const LabelingResult want =
       AremspRleLabeler(Connectivity::Four).label(image);
@@ -607,31 +600,34 @@ TEST(Sharded, RunScanSupportsFourConnectivityViaRequestOverride) {
       image, response.labels, response.num_components, Connectivity::Four);
   EXPECT_TRUE(v.ok) << v.error;
 
-  // Pixel shards keep rejecting 4-connectivity with the uniform error.
-  LabelRequest pixel = request;
-  pixel.shard = ShardOptions{.tile_rows = 13, .tile_cols = 11};
-  EXPECT_THROW((void)eng.submit(pixel), PreconditionError);
+  // Default ShardOptions (default tiles) accept 4-connectivity too, and
+  // match the sequential 4-connectivity algorithm bit for bit.
+  LabelRequest defaults = request;
+  defaults.shard = ShardOptions{};
+  const LabelResponse by_default = eng.submit(defaults).get();
+  const LabelingResult cclremsp =
+      make_labeler(Algorithm::Cclremsp,
+                   LabelerOptions{.connectivity = Connectivity::Four})
+          ->label(image);
+  EXPECT_EQ(by_default.num_components, cclremsp.num_components);
+  EXPECT_EQ(by_default.labels, cclremsp.labels);
 }
 
 TEST(Sharded, ThresholdRequestMatchesBinarizedOracleBothScanKernels) {
-  // Sharded fusion: ShardScan::Runs threads the cutoff into the per-tile
-  // run scan (no binary plane); ShardScan::Pixel binarizes upfront. Both
-  // must be bit-identical to im2bw + label_sharded.
+  // Sharded fusion: the cutoff threads into the per-tile run scan (no
+  // binary plane is materialized), bit-identical to im2bw + label_sharded.
   engine::LabelingEngine eng({.workers = 2});
   const GrayImage gray = gen::plasma(45, 77, 3);
   const BinaryImage bw = im2bw(gray, 0.5);
-  for (const ShardScan scan : {ShardScan::Runs, ShardScan::Pixel}) {
-    const engine::ShardOptions opts{
-        .tile_rows = 13, .tile_cols = 20, .scan = scan};
-    const LabelingResult want = eng.label_sharded(bw, opts);
-    LabelRequest request;
-    request.input = gray;
-    request.threshold = 0.5;
-    request.shard = opts;
-    const LabelResponse got = eng.submit(request).get();
-    EXPECT_EQ(got.num_components, want.num_components) << to_string(scan);
-    EXPECT_EQ(got.labels, want.labels) << to_string(scan);
-  }
+  const engine::ShardOptions opts{.tile_rows = 13, .tile_cols = 20};
+  const LabelingResult want = eng.label_sharded(bw, opts);
+  LabelRequest request;
+  request.input = gray;
+  request.threshold = 0.5;
+  request.shard = opts;
+  const LabelResponse got = eng.submit(request).get();
+  EXPECT_EQ(got.num_components, want.num_components);
+  EXPECT_EQ(got.labels, want.labels);
 }
 
 TEST(Sharded, RunScanLabelOutAndDegenerateImages) {
@@ -642,9 +638,7 @@ TEST(Sharded, RunScanLabelOutAndDegenerateImages) {
   LabelRequest request;
   request.input = image;
   request.label_out = MutableImageView(big).subview(2, 3, 24, 30);
-  request.shard = ShardOptions{.tile_rows = 7,
-                               .tile_cols = 8,
-                               .scan = ShardScan::Runs};
+  request.shard = ShardOptions{.tile_rows = 7, .tile_cols = 8};
   const LabelResponse response = eng.submit(request).get();
   EXPECT_TRUE(response.labels.empty());
   const LabelingResult want = AremspLabeler().label(image);
@@ -661,8 +655,8 @@ TEST(Sharded, RunScanLabelOutAndDegenerateImages) {
   for (const auto& [rows, cols] :
        std::vector<std::pair<Coord, Coord>>{{0, 0}, {0, 5}, {5, 0}, {1, 1}}) {
     const BinaryImage degenerate(rows, cols, 1);
-    const LabelingResult got = eng.label_sharded(
-        degenerate, engine::ShardOptions{.scan = ShardScan::Runs});
+    const LabelingResult got =
+        eng.label_sharded(degenerate, engine::ShardOptions{});
     EXPECT_EQ(got.num_components, rows > 0 && cols > 0 ? 1 : 0);
   }
 }

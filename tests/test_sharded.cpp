@@ -1,6 +1,8 @@
-// Sharded huge-image labeling through the engine: bit-identical
-// equivalence with sequential AREMSP across tile geometries and worker
-// counts, async pipelining, shutdown-mid-shard, and degenerate inputs.
+// Sharded huge-image labeling through the engine (the run-based tile
+// pipeline, default ShardOptions): bit-identical equivalence with
+// sequential AREMSP across tile geometries and worker counts, async
+// pipelining, shutdown-mid-shard, degenerate inputs, and the output
+// routing that decides which phases run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +20,7 @@
 #include "engine/engine.hpp"
 #include "fixtures.hpp"
 #include "image/generators.hpp"
+#include "obs/metrics.hpp"
 
 namespace paremsp {
 namespace {
@@ -166,17 +169,12 @@ TEST(Sharded, AllMergeBackendsMatch) {
   const BinaryImage image = gen::uniform_noise(64, 64, 0.55, 17);
   const LabelingResult want = AremspLabeler().label(image);
   LabelingEngine eng({.workers = 3});
-  for (const ShardScan scan : {ShardScan::Pixel, ShardScan::Runs}) {
-    for (const auto backend : {MergeBackend::LockedRem, MergeBackend::CasRem,
-                               MergeBackend::Sequential}) {
-      const LabelingResult got =
-          eng.label_sharded(image, ShardOptions{.tile_rows = 8,
-                                                .tile_cols = 8,
-                                                .scan = scan,
-                                                .merge_backend = backend});
-      expect_bit_identical(
-          got, want, std::string(to_string(scan)) + "/" + to_string(backend));
-    }
+  for (const auto backend : {MergeBackend::LockedRem, MergeBackend::CasRem,
+                             MergeBackend::Sequential}) {
+    const LabelingResult got = eng.label_sharded(
+        image,
+        ShardOptions{.tile_rows = 8, .tile_cols = 8, .merge_backend = backend});
+    expect_bit_identical(got, want, to_string(backend));
   }
 }
 
@@ -297,6 +295,33 @@ TEST(Sharded, RejectsInvalidOptions) {
                PreconditionError);
   EXPECT_THROW((void)eng.submit_sharded(image, ShardOptions{.lock_bits = 99}),
                PreconditionError);
+}
+
+TEST(Sharded, StatsOnlyRequestSkipsThePlaneAndTheRewrite) {
+  // No label destination: the response carries no plane, and the pipeline
+  // fans out scan + merge jobs only — the rewrite phase has nothing to
+  // write, so it must not run.
+  LabelingEngine eng({.workers = 2});
+  const BinaryImage image = gen::landcover_like(64, 96, 21);
+  const LabelingResult reference = AremspLabeler().label(image);
+  LabelRequest request;
+  request.input = image;
+  request.outputs = OutputSet{.labels = false, .stats = true};
+  request.shard = ShardOptions{.tile_rows = 16, .tile_cols = 32};
+  const std::uint64_t tiles = (64 / 16) * (96 / 32);
+  const std::uint64_t before = obs::counter("shard_fanout_jobs_total").value();
+  const LabelResponse response = eng.submit(request).get();
+  const std::uint64_t jobs =
+      obs::counter("shard_fanout_jobs_total").value() - before;
+
+  EXPECT_TRUE(response.labels.empty());
+  EXPECT_EQ(response.num_components, reference.num_components);
+  ASSERT_TRUE(response.stats.has_value());
+  testing::expect_stats_identical(
+      *response.stats,
+      analysis::compute_stats(reference.labels, reference.num_components),
+      "stats-only shard");
+  EXPECT_EQ(jobs, tiles /* scan */ + tiles /* merge */);
 }
 
 TEST(Sharded, ReusesRecycledPlanes) {

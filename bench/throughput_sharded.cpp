@@ -2,7 +2,9 @@
 // LabelingEngine::label_sharded at several tile geometries and worker
 // counts, against single-thread sequential AREMSP as the speedup baseline
 // and in-process run-based tiled PAREMSP (paremsp2d_rle, the same phase
-// code) as the OpenMP reference point.
+// code) as the OpenMP reference point. Both sides are timed warm: the
+// engine adopts each recycled output plane, and paremsp2d_rle runs
+// through one persistent LabelScratch.
 //
 // Besides the human-readable table, the bench writes BENCH_sharded.json
 // (machine-readable trajectory record; schema below) so successive PRs can
@@ -36,6 +38,7 @@
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "core/aremsp.hpp"
+#include "core/label_scratch.hpp"
 #include "core/rle_labelers.hpp"
 #include "engine/engine.hpp"
 #include "image/generators.hpp"
@@ -192,9 +195,16 @@ int main() {
         }
       }
 
+      // Warm like the in-process row below: each output plane goes back
+      // to the engine for the next request to adopt.
       const auto ms = sample_latencies(
           reps, reference.num_components,
-          [&] { return eng.label_sharded(image, options); }, failures);
+          [&] {
+            LabelingResult got = eng.label_sharded(image, options);
+            eng.recycle(std::move(got.labels));
+            return got;
+          },
+          failures);
       RunRecord r;
       r.algo = "engine.sharded";
       r.tile_rows = tr;
@@ -206,11 +216,37 @@ int main() {
   }
 
   // --- In-process tiled PAREMSP reference (OpenMP, same phase code) ---------
+  // Timed warm, like the engine rows: one persistent LabelScratch holds
+  // the parents, run buffers and (recycled) output plane across calls.
   {
     const TiledParemspRleLabeler tiled(RleConfig{
         .threads = max_threads, .tile_rows = 256, .tile_cols = 256});
+    LabelScratch scratch;
+    LabelRequest request;
+    request.input = image;
+    const auto label_warm = [&] {
+      LabelResponse response = tiled.run(request, scratch);
+      LabelingResult got;
+      got.num_components = response.num_components;
+      got.labels = std::move(response.labels);
+      return got;
+    };
+    {  // untimed verification: bit-identical to sequential AREMSP
+      LabelingResult got = label_warm();
+      if (got.num_components != reference.num_components ||
+          !(got.labels == reference.labels)) {
+        std::cerr << "MISMATCH: paremsp2d_rle differs from AREMSP\n";
+        ++failures;
+      }
+      scratch.recycle_plane(std::move(got.labels));
+    }
     const auto ms = sample_latencies(
-        reps, reference.num_components, [&] { return tiled.label(image); },
+        reps, reference.num_components,
+        [&] {
+          LabelingResult got = label_warm();
+          scratch.recycle_plane(std::move(got.labels));
+          return got;
+        },
         failures);
     RunRecord r;
     r.algo = "paremsp2d_rle";

@@ -3,6 +3,7 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <atomic>
 #include <span>
 #include <vector>
 
@@ -22,9 +23,9 @@ namespace {
 
 /// The one run-based pipeline all three rle labelers share: cut a tile
 /// grid, scan runs per tile, merge boundary runs, resolve + canonically
-/// renumber, and expand the resolved labels back to the raster. `threads`
-/// <= 1 serializes every phase (aremsp_rle); `locks` may be null for the
-/// non-LockedRem backends. `threshold` >= 0 scans `image` as GRAYSCALE
+/// renumber (RunLabelResolver), and expand the resolved labels back to the
+/// raster. `threads` <= 1 serializes every phase (aremsp_rle); `locks` may
+/// be null for the non-LockedRem backends. `threshold` >= 0 scans `image` as GRAYSCALE
 /// through the fused pixel > threshold encoder (run_gray_impl); -1 is the
 /// plain binary mode.
 LabelingResult label_runs_impl(ConstImageView image, Connectivity connectivity,
@@ -45,6 +46,9 @@ LabelingResult label_runs_impl(ConstImageView image, Connectivity connectivity,
   std::vector<TileSpec> tiles =
       make_tile_grid(image.rows(), image.cols(), tile_rows, tile_cols);
   const int ntiles = static_cast<int>(tiles.size());
+  // Every phase hands out at most one item per tile: a larger team only
+  // adds threads that wait at the barriers.
+  const int team = std::min(threads, ntiles);
   const std::size_t label_space = static_cast<std::size_t>(image.size()) + 1;
   std::span<Label> p = scratch.parents(label_space);
   std::span<RunBuffer> tile_runs = scratch.run_buffers(tiles.size());
@@ -57,7 +61,7 @@ LabelingResult label_runs_impl(ConstImageView image, Connectivity connectivity,
   // Per-tile join slots (disjoint, summed post-barrier) keep the scan loop
   // free of shared counters; PhaseCounters fill between the phase timers.
   std::vector<std::uint64_t> tile_joins(tiles.size(), 0);
-#pragma omp parallel for schedule(dynamic, 1) num_threads(threads)
+#pragma omp parallel for schedule(dynamic, 1) num_threads(team)
   for (int t = 0; t < ntiles; ++t) {
     obs::Span span("rle.scan.tile", "tile");
     auto& tile = tiles[static_cast<std::size_t>(t)];
@@ -87,7 +91,7 @@ LabelingResult label_runs_impl(ConstImageView image, Connectivity connectivity,
   switch (merge_backend) {
     case MergeBackend::LockedRem: {
       uf::LockPool& pool = *locks;
-#pragma omp parallel for schedule(dynamic, 1) num_threads(threads)
+#pragma omp parallel for schedule(dynamic, 1) num_threads(team)
       for (int t = 0; t < ntiles; ++t) {
         obs::Span span("rle.merge.tile", "tile");
         std::uint64_t pairs = 0;
@@ -107,7 +111,7 @@ LabelingResult label_runs_impl(ConstImageView image, Connectivity connectivity,
       break;
     }
     case MergeBackend::CasRem: {
-#pragma omp parallel for schedule(dynamic, 1) num_threads(threads)
+#pragma omp parallel for schedule(dynamic, 1) num_threads(team)
       for (int t = 0; t < ntiles; ++t) {
         obs::Span span("rle.merge.tile", "tile");
         std::uint64_t pairs = 0;
@@ -142,32 +146,63 @@ LabelingResult label_runs_impl(ConstImageView image, Connectivity connectivity,
   result.timings.counters.merge_unions = merge_unions;
   result.timings.counters.merge_retries = merge_retries;
 
-  // --- FLATTEN + canonical run renumber ------------------------------------
+  // --- FLATTEN + canonical run renumber, then the final labeling ----------
+  // One team runs the resolver's sub-phases and the rewrite with one
+  // barrier per data dependency, because tiny images pay for every
+  // barrier and every region: the last resolve job numbers the groups
+  // before the loop barrier, and the master thread reads the timers.
   phase.reset();
+  Label total_used = 0;
+  for (const auto& tile : tiles) total_used += tile.used;
+  RunLabelResolver resolver(p, tiles, {tile_runs.data(), tile_runs.size()},
+                            connectivity,
+                            scratch.aux(static_cast<std::size_t>(total_used)));
+  const int ngroups = static_cast<int>(resolver.groups());
+  std::atomic<int> resolved{0};
+#pragma omp parallel num_threads(team)
   {
-    obs::Span span("rle.flatten");
-    Label total_used = 0;
-    for (const auto& tile : tiles) total_used += tile.used;
-    std::span<Label> remap =
-        scratch.aux(static_cast<std::size_t>(total_used) + 1);
-    result.num_components = resolve_final_run_labels(
-        p, tiles, {tile_runs.data(), tile_runs.size()}, connectivity,
-        image.rows(), remap);
-    if (stats != nullptr) {
-      stats->components.assign(
-          static_cast<std::size_t>(result.num_components), {});
-      fold_tile_features(cells, p, tiles, stats->components);
+#pragma omp for schedule(dynamic, 1)
+    for (int t = 0; t < ntiles; ++t) {
+      obs::Span span("rle.flatten.tile", "tile");
+      resolver.resolve_tile(static_cast<std::size_t>(t));
+      if (resolved.fetch_add(1, std::memory_order_acq_rel) + 1 == ntiles) {
+        result.num_components = resolver.number_groups();
+      }
     }
-  }
-  result.timings.flatten_ms = phase.elapsed_ms();
-
-  // --- Final labeling: expand resolved run labels (fill-width segments) ----
-  phase.reset();
-#pragma omp parallel for schedule(dynamic, 1) num_threads(threads)
-  for (int t = 0; t < ntiles; ++t) {
-    obs::Span span("rle.rewrite.tile", "tile");
-    rewrite_run_labels(tile_runs[static_cast<std::size_t>(t)], p,
-                       tiles[static_cast<std::size_t>(t)], result.labels);
+#pragma omp for schedule(dynamic, 1)
+    for (int g = 0; g < ngroups; ++g) {
+      obs::Span span("rle.rank.band", "tile");
+      resolver.rank_group(static_cast<std::size_t>(g));
+    }
+    if (stats != nullptr) {
+#pragma omp for schedule(dynamic, 1)
+      for (int t = 0; t < ntiles; ++t) {
+        resolver.finalize_tile(static_cast<std::size_t>(t));
+      }
+#pragma omp single
+      {
+        stats->components.assign(
+            static_cast<std::size_t>(result.num_components), {});
+        fold_tile_features(cells, p, tiles, stats->components);
+      }
+    }
+#pragma omp master
+    {
+      result.timings.flatten_ms = phase.elapsed_ms();
+      phase.reset();
+    }
+    // Final labeling: expand resolved run labels (fill-width segments).
+    // Without stats each tile finalizes its own labels first: a tile's
+    // runs carry only its own labels, and finalize writes only those.
+#pragma omp for schedule(dynamic, 1) nowait
+    for (int t = 0; t < ntiles; ++t) {
+      obs::Span span("rle.rewrite.tile", "tile");
+      if (stats == nullptr) {
+        resolver.finalize_tile(static_cast<std::size_t>(t));
+      }
+      rewrite_run_labels(tile_runs[static_cast<std::size_t>(t)], p,
+                         tiles[static_cast<std::size_t>(t)], result.labels);
+    }
   }
   result.timings.relabel_ms = phase.elapsed_ms();
   result.timings.total_ms = total.elapsed_ms();

@@ -1,10 +1,12 @@
 #include "core/tiled_phases.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/contracts.hpp"
 #include "core/equiv_policies.hpp"
 #include "core/scan_two_line.hpp"
+#include "unionfind/parallel_rem.hpp"
 
 namespace paremsp {
 
@@ -78,167 +80,266 @@ Label scan_tile(ConstImageView image, std::span<Label> parents,
 
 namespace {
 
-/// Left-to-right cursor over one IMAGE row's runs, spliced across the
-/// tile columns of the grid (each tile holds only its own column range).
-class RowRunCursor {
- public:
-  RowRunCursor(std::span<const RunBuffer> tile_runs,
-               const TileGridShape& grid, Coord r)
-      : tile_runs_(tile_runs), grid_(grid), tc_(grid.grid_cols) {
-    if (r < 0 || grid.grid_cols == 0) return;
-    const Coord tr = r / grid.tile_rows;
-    if (tr >= grid.grid_rows) return;
-    row_ = r;
-    base_ = static_cast<std::size_t>(tr) *
-            static_cast<std::size_t>(grid.grid_cols);
-    tc_ = 0;
-    advance_to_nonempty();
+/// Key slot value of a numbered root (after rank_group). Keys are
+/// positions in the canonical visit order, so they are >= 0.
+constexpr Label kRootKey = -1;
+/// Key slot value before any run of an odd-aligned tile has been seen:
+/// above every key, so the first-visit walk can take plain minima.
+constexpr Label kUnsetKey = std::numeric_limits<Label>::max();
+
+/// The two run streams of one row pair, merged by (col_begin, upper
+/// first on ties) — the sequential two-line visit order.
+template <class Visit>
+void visit_row_pair(std::span<const Run> upper, std::span<const Run> lower,
+                    Visit&& visit) {
+  std::size_t u = 0;
+  std::size_t l = 0;
+  while (u < upper.size() || l < lower.size()) {
+    if (l >= lower.size() ||
+        (u < upper.size() && upper[u].col_begin <= lower[l].col_begin)) {
+      visit(upper[u++], 0);
+    } else {
+      visit(lower[l++], 1);
+    }
+  }
+}
+
+}  // namespace
+
+RunLabelResolver::RunLabelResolver(std::span<Label> parents,
+                                   std::span<const TileSpec> tiles,
+                                   std::span<const RunBuffer> tile_runs,
+                                   Connectivity connectivity,
+                                   std::span<Label> keys)
+    : parents_(parents),
+      tiles_(tiles),
+      tile_runs_(tile_runs),
+      keys_(keys),
+      connectivity_(connectivity),
+      offsets_(tiles.size()),
+      tile_roots_(tiles.size(), 0) {
+  PAREMSP_REQUIRE(tile_runs.size() >= tiles.size(),
+                  "one run buffer per tile required");
+  Label used = 0;
+  for (std::size_t t = 0; t < tiles.size(); ++t) {
+    offsets_[t] = used;
+    used += tiles[t].used;
+  }
+  PAREMSP_REQUIRE(keys.size() >= static_cast<std::size_t>(used),
+                  "key storage smaller than the issued label count");
+  group_tiles_.push_back(0);
+  if (tiles.empty()) return;
+  rows_ = tiles.back().row_end;
+  cols_ = tiles.back().col_end;
+  const TileGridShape grid = tile_grid_shape(tiles);
+  const auto cols = static_cast<std::size_t>(grid.grid_cols);
+  const bool eight = connectivity == Connectivity::Eight;
+  bool pair_aligned = true;
+  for (std::size_t t = cols; t < tiles.size(); t += cols) {
+    const bool even = tiles[t].row_begin % 2 == 0;
+    pair_aligned = pair_aligned && even;
+    if (!eight || even) group_tiles_.push_back(t);
+  }
+  group_tiles_.push_back(tiles.size());
+  group_start_.assign(groups(), 0);
+  keyed_ = !(grid.grid_cols == 1 && (!eight || pair_aligned));
+}
+
+template <bool kAligned>
+void RunLabelResolver::record_first_visits(std::size_t t) {
+  const TileSpec& tile = tiles_[t];
+  const RunBuffer& runs = tile_runs_[t];
+  const Label shift = offsets_[t] - tile.base - 1;  // slot(t, l) = l + shift
+  // Walking in the canonical order, the first run carrying a label has
+  // that label's minimal key. On a scan-aligned tile the first run is the
+  // run that ISSUED the label, i.e. the first whose label exceeds every
+  // label seen so far (fresh labels rise in scan order); other tiles take
+  // plain minima over all of their runs.
+  Label seen = tile.base;
+  if constexpr (!kAligned) {
+    std::fill_n(keys_.begin() + offsets_[t], tile.used, kUnsetKey);
+  }
+  const auto record = [&](const Run& run, Label key) {
+    if constexpr (kAligned) {
+      if (run.label > seen) {
+        seen = run.label;
+        keys_[static_cast<std::size_t>(run.label + shift)] = key;
+      }
+    } else {
+      Label& first = keys_[static_cast<std::size_t>(run.label + shift)];
+      first = std::min(first, key);
+    }
+  };
+
+  const std::int64_t cols = cols_;
+  if (connectivity_ == Connectivity::Four) {
+    for (Coord r = tile.row_begin; r < tile.row_end; ++r) {
+      const std::int64_t row_key = r * cols;
+      for (const Run& run : runs.row(r)) {
+        record(run, static_cast<Label>(row_key + run.col_begin));
+      }
+    }
+    return;
+  }
+  // Two-line keys: a pixel's index in the sequential visit order, pair
+  // (top, top + 1) column by column, upper before lower; a trailing
+  // single-row pair is visited column by column alone.
+  const auto visit_pair = [&](Coord top, std::span<const Run> upper,
+                              std::span<const Run> lower) {
+    const std::int64_t pair_key = top * cols;
+    const std::int64_t step = top + 1 < rows_ ? 2 : 1;
+    visit_row_pair(upper, lower, [&](const Run& run, int parity) {
+      record(run, static_cast<Label>(pair_key + step * run.col_begin + parity));
+    });
+  };
+  Coord r = tile.row_begin;
+  if (r % 2 != 0) {  // the tile's first row closes the pair above it
+    visit_pair(r - 1, {}, runs.row(r));
+    ++r;
+  }
+  for (; r < tile.row_end; r += 2) {
+    visit_pair(r, runs.row(r),
+               r + 1 < tile.row_end ? runs.row(r + 1) : std::span<const Run>{});
+  }
+}
+
+void RunLabelResolver::resolve_tile(std::size_t t) {
+  const TileSpec& tile = tiles_[t];
+  const Label lo = tile.base + 1;
+  const Label hi = tile.base + tile.used;
+  // FLATTEN (paper Algorithm 3) over this tile's range in increasing
+  // order: REM parents point at smaller labels, so an own parent is
+  // already resolved; a parent in an earlier tile is chased to its root.
+  // Other tiles compress concurrently, so every access is a relaxed
+  // atomic one: the forest is static after the merge, so any value read
+  // is an ancestor.
+  using uf::detail::load;
+  Label* const parents = parents_.data();
+  Label roots = 0;
+  for (Label l = lo; l <= hi; ++l) {
+    Label p = load(parents, l);
+    if (p == l) {
+      ++roots;
+      continue;
+    }
+    if (p >= lo) {
+      p = load(parents, p);
+    } else {
+      for (Label q = load(parents, p); q != p; q = load(parents, p)) p = q;
+    }
+    uf::detail::store(parents, l, p);
+  }
+  tile_roots_[t] = roots;
+  if (!keyed_) return;
+  if (connectivity_ == Connectivity::Four || tile.row_begin % 2 == 0) {
+    record_first_visits<true>(t);
+  } else {
+    record_first_visits<false>(t);
+  }
+}
+
+Label RunLabelResolver::number_groups() {
+  Label k = 0;
+  for (std::size_t g = 0; g < groups(); ++g) {
+    group_start_[g] = k;
+    for (std::size_t t = group_tiles_[g]; t < group_tiles_[g + 1]; ++t) {
+      k += tile_roots_[t];
+    }
+  }
+  return k;
+}
+
+void RunLabelResolver::rank_group(std::size_t g) {
+  const std::size_t t0 = group_tiles_[g];
+  const std::size_t t1 = group_tiles_[g + 1];
+  Label next = group_start_[g];
+  if (!keyed_) {
+    // Label order is canonical: number roots as they come.
+    for (std::size_t t = t0; t < t1; ++t) {
+      const TileSpec& tile = tiles_[t];
+      for (Label l = tile.base + 1; l <= tile.base + tile.used; ++l) {
+        Label& key = keys_[static_cast<std::size_t>(slot(t, l))];
+        if (parents_[static_cast<std::size_t>(l)] == l) {
+          parents_[static_cast<std::size_t>(l)] = ++next;
+          key = kRootKey;
+        } else {
+          key = 0;
+        }
+      }
+    }
+    return;
   }
 
-  [[nodiscard]] const Run* current() const noexcept {
-    return tc_ < grid_.grid_cols ? &tile_runs_[base_ + static_cast<std::size_t>(
-                                                           tc_)]
-                                        .row(row_)[idx_]
-                                 : nullptr;
-  }
-
-  void next() noexcept {
-    ++idx_;
-    advance_to_nonempty();
-  }
-
- private:
-  void advance_to_nonempty() noexcept {
-    while (tc_ < grid_.grid_cols &&
-           idx_ >= tile_runs_[base_ + static_cast<std::size_t>(tc_)]
-                       .row(row_)
-                       .size()) {
-      ++tc_;
-      idx_ = 0;
+  // Fold every label's first visit into its root's key, for the roots of
+  // this group (a root in an earlier group was visited first there).
+  const Label group_base = tiles_[t0].base;
+  Label roots = 0;
+  for (std::size_t t = t0; t < t1; ++t) {
+    const TileSpec& tile = tiles_[t];
+    roots += tile_roots_[t];
+    for (Label l = tile.base + 1; l <= tile.base + tile.used; ++l) {
+      const Label root = parents_[static_cast<std::size_t>(l)];
+      if (root == l || root <= group_base) continue;
+      // The root's tile: this one, or the last earlier tile of the group
+      // whose base lies below it.
+      std::size_t rt = t;
+      if (root <= tile.base) {
+        const auto first = tiles_.begin() + static_cast<std::ptrdiff_t>(t0);
+        rt = static_cast<std::size_t>(
+            std::partition_point(
+                first, tiles_.begin() + static_cast<std::ptrdiff_t>(t),
+                [root](const TileSpec& s) { return s.base < root; }) -
+            tiles_.begin() - 1);
+      }
+      Label& root_key = keys_[static_cast<std::size_t>(slot(rt, root))];
+      root_key = std::min(root_key, keys_[static_cast<std::size_t>(slot(t, l))]);
     }
   }
 
-  std::span<const RunBuffer> tile_runs_;
-  TileGridShape grid_;
-  Coord row_ = -1;
-  std::size_t base_ = 0;
-  Coord tc_ = 0;
-  std::size_t idx_ = 0;
-};
+  // Sort the group's roots by key (key high, label low: keys are unique
+  // per component) and number them after the group's prefix.
+  std::vector<std::uint64_t> order;
+  order.reserve(static_cast<std::size_t>(roots));
+  for (std::size_t t = t0; t < t1; ++t) {
+    const TileSpec& tile = tiles_[t];
+    for (Label l = tile.base + 1; l <= tile.base + tile.used; ++l) {
+      if (parents_[static_cast<std::size_t>(l)] != l) continue;
+      Label& key = keys_[static_cast<std::size_t>(slot(t, l))];
+      order.push_back(static_cast<std::uint64_t>(key) << 32 |
+                      static_cast<std::uint32_t>(l));
+      key = kRootKey;
+    }
+  }
+  std::sort(order.begin(), order.end());
+  for (const std::uint64_t entry : order) {
+    parents_[static_cast<std::size_t>(entry & 0xffffffffu)] = ++next;
+  }
+}
 
-}  // namespace
+void RunLabelResolver::finalize_tile(std::size_t t) {
+  const TileSpec& tile = tiles_[t];
+  const Label shift = offsets_[t] - tile.base - 1;
+  for (Label l = tile.base + 1; l <= tile.base + tile.used; ++l) {
+    // A root already holds its final label (rank_group); every other
+    // label points at its root, whose entry no finalize writes.
+    if (keys_[static_cast<std::size_t>(l + shift)] == kRootKey) continue;
+    Label& p = parents_[static_cast<std::size_t>(l)];
+    p = parents_[static_cast<std::size_t>(p)];
+  }
+}
 
 Label resolve_final_run_labels(std::span<Label> parents,
                                std::span<const TileSpec> tiles,
                                std::span<const RunBuffer> tile_runs,
                                Connectivity connectivity, Coord rows,
                                std::span<Label> remap) {
-  // FLATTEN (paper Algorithm 3) over used ranges in increasing base
-  // order: REM parents always point at smaller issued labels, so one pass
-  // resolves everything and numbers components by increasing root, i.e.
-  // first appearance in TILE order.
-  Label k = 0;
-  for (const TileSpec& tile : tiles) {
-    const Label lo = tile.base + 1;
-    const Label hi = tile.base + tile.used;
-    for (Label i = lo; i <= hi; ++i) {
-      if (parents[i] < i) {
-        parents[i] = parents[parents[i]];
-      } else {
-        parents[i] = ++k;
-      }
-    }
-  }
-  if (k == 0) return 0;
-
-  const TileGridShape grid = tile_grid_shape(tiles);
-
-  // 4-connectivity targets raster-first-appearance order (the numbering
-  // of the one-line pixel algorithms and the flood-fill oracle). For
-  // full-width tile bands the label bases increase in row order, so the
-  // flatten above already numbered components by their first run in
-  // raster order and the walk would be the identity.
-  if (connectivity == Connectivity::Four && grid.grid_cols == 1) return k;
-
-  PAREMSP_REQUIRE(remap.size() > static_cast<std::size_t>(k),
-                  "remap storage smaller than the component count");
-  std::fill_n(remap.begin(), static_cast<std::size_t>(k) + 1, Label{0});
-  Label next = 0;
-  const auto visit = [&](const Run& run) {
-    Label& slot = remap[parents[run.label]];
-    if (slot == 0) slot = ++next;
-  };
-
-  if (connectivity == Connectivity::Eight && grid.grid_cols == 1) {
-    // Full-width tiles whose rows start EVEN are the paper's row chunks:
-    // bases increase in band order and the run scan issues labels in
-    // two-line pair order aligned with the global pairing
-    // (merge_row_pair_runs), so the flatten above already numbered
-    // components by two-line first appearance — the walk is the identity
-    // and is skipped, the same argument that lets PAREMSP's row chunks
-    // skip any renumber (DESIGN.md §3).
-    const bool pair_aligned =
-        std::all_of(tiles.begin(), tiles.end(),
-                    [](const TileSpec& t) { return t.row_begin % 2 == 0; });
-    if (pair_aligned) return k;
-    // Odd-aligned full-width bands: each image row's runs are ONE
-    // contiguous span, so the pair merge runs on raw spans with no
-    // cursor indirection.
-    const auto row_span = [&](Coord r) {
-      return tile_runs[static_cast<std::size_t>(r / grid.tile_rows)].row(r);
-    };
-    for (Coord r = 0; r < rows && next < k; r += 2) {
-      const std::span<const Run> upper = row_span(r);
-      const std::span<const Run> lower =
-          r + 1 < rows ? row_span(r + 1) : std::span<const Run>{};
-      std::size_t u = 0, l = 0;
-      while (u < upper.size() || l < lower.size()) {
-        if (l >= lower.size() ||
-            (u < upper.size() &&
-             upper[u].col_begin <= lower[l].col_begin)) {
-          visit(upper[u++]);
-        } else {
-          visit(lower[l++]);
-        }
-      }
-    }
-  } else if (connectivity == Connectivity::Eight) {
-    // Two-line visit order: merge each row pair's two run streams by
-    // (col_begin, parity) — a component's first two-line-visited pixel
-    // is always one of its runs' col_begin (an earlier pixel of the same
-    // run would contradict minimality), so this walk meets components in
-    // exactly the order sequential AREMSP numbers them.
-    for (Coord r = 0; r < rows && next < k; r += 2) {
-      RowRunCursor upper(tile_runs, grid, r);
-      RowRunCursor lower(tile_runs, grid, r + 1 < rows ? r + 1 : -1);
-      const Run* u = upper.current();
-      const Run* l = lower.current();
-      while (u != nullptr || l != nullptr) {
-        if (l == nullptr || (u != nullptr && u->col_begin <= l->col_begin)) {
-          visit(*u);
-          upper.next();
-          u = upper.current();
-        } else {
-          visit(*l);
-          lower.next();
-          l = lower.current();
-        }
-      }
-    }
-  } else {
-    for (Coord r = 0; r < rows && next < k; ++r) {
-      for (RowRunCursor cursor(tile_runs, grid, r);
-           cursor.current() != nullptr; cursor.next()) {
-        visit(*cursor.current());
-      }
-    }
-  }
-  PAREMSP_ENSURE(next == k, "run first-appearance renumber lost a component");
-  for (const TileSpec& tile : tiles) {
-    const Label lo = tile.base + 1;
-    const Label hi = tile.base + tile.used;
-    for (Label i = lo; i <= hi; ++i) parents[i] = remap[parents[i]];
-  }
+  PAREMSP_REQUIRE(tiles.empty() || tiles.back().row_end == rows,
+                  "rows does not match the tile grid");
+  RunLabelResolver resolver(parents, tiles, tile_runs, connectivity, remap);
+  for (std::size_t t = 0; t < tiles.size(); ++t) resolver.resolve_tile(t);
+  const Label k = resolver.number_groups();
+  for (std::size_t g = 0; g < resolver.groups(); ++g) resolver.rank_group(g);
+  for (std::size_t t = 0; t < tiles.size(); ++t) resolver.finalize_tile(t);
   return k;
 }
 

@@ -16,13 +16,17 @@
 //                                 union backend (Algorithm 8's parallel
 //                                 REM merger, its CAS variant, or
 //                                 sequential REM);
-//   4. resolve_final_run_labels — FLATTEN every tile's used label range,
+//   4. RunLabelResolver         — FLATTEN every tile's used label range,
 //                                 then renumber components in the
 //                                 sequential scan's first-appearance order
 //                                 so the result is bit-identical to
 //                                 sequential AREMSP (8-connectivity) or
 //                                 CCLREMSP (4-connectivity) for EVERY tile
-//                                 geometry;
+//                                 geometry. Three fanned-out sub-phases:
+//                                 resolve per tile, rank per tile-row
+//                                 band group, finalize per tile;
+//                                 resolve_final_run_labels is their
+//                                 single-threaded composition;
 //   5. rewrite_run_labels       — expand the resolved run labels into the
 //                                 output plane, the only pass that writes
 //                                 it.
@@ -41,9 +45,10 @@
 // foreground neighbor, so it is always a new-label event. Sequential
 // AREMSP's FLATTEN therefore numbers components 1..k by first appearance
 // in that visit order. A 2-D grid's bases are prefix sums in tile order
-// instead, so after FLATTEN the dense labels come out permuted — one
-// first-appearance remap in the sequential visit order restores exactly
-// the sequential numbering.
+// instead, so numbering roots by label would permute the components —
+// numbering them by their first-visit position in the sequential visit
+// order restores exactly the sequential numbering, and that position is
+// computable per tile and rankable per tile-row band (RunLabelResolver).
 #pragma once
 
 #include <algorithm>
@@ -206,32 +211,96 @@ void merge_run_seams(std::span<const TileSpec> tiles,
   }
 }
 
-/// Phases III+IV bookkeeping: FLATTEN every tile's used label range in
-/// increasing base order, then renumber into the canonical order of the
-/// matching sequential pixel algorithms by walking the RUNS (the label
-/// plane holds no provisional labels):
+/// Phase III, split for fan-out: FLATTEN every tile's used label range
+/// and renumber components into the canonical order of the matching
+/// sequential pixel algorithms, walking the RUNS (the label plane holds
+/// no provisional labels):
 ///
 ///   8-connectivity  first appearance in the sequential TWO-LINE visit
 ///                   order — row pairs (0,1),(2,3),…, column by column,
 ///                   upper before lower. A component's first-visited
 ///                   pixel is the (col_begin, parity)-minimal run start
-///                   among its runs in its earliest pair, so merging each
-///                   pair's two run streams by (col_begin, parity)
-///                   reproduces sequential AREMSP's numbering exactly —
-///                   the rle pipelines are bit-identical to AREMSP for
-///                   every chunking and tile geometry. Full-width bands
-///                   whose rows start even skip the walk: the scan
-///                   issues labels in that very order
-///                   (merge_row_pair_runs), so the flatten is already
-///                   canonical.
+///                   among its runs in its earliest pair.
 ///   4-connectivity  first appearance in raster order (the numbering of
 ///                   the one-line-scan algorithms and the flood-fill
-///                   oracle); full-width tile bands already flatten into
-///                   that order, so the walk is skipped for them.
+///                   oracle).
 ///
-/// On return parents[l] is the FINAL label of every issued provisional
-/// label l; finish with rewrite_run_labels per tile. `remap` is caller
-/// storage of at least (total used labels + 1) entries. Single-threaded.
+/// The sub-phases, each separated from the next by a barrier or latch:
+///
+///   resolve_tile(t)   point each of tile t's labels at its REM root (the
+///                     component's minimum label) and record each label's
+///                     first-visit KEY — its position in the canonical
+///                     order — from tile t's runs. Concurrent across
+///                     tiles: roots in other tiles are chased through
+///                     relaxed atomic loads while those tiles compress.
+///   number_groups()   serial, O(tiles): exclusive prefix of the per-group
+///                     component counts; returns k.
+///   rank_group(g)     fold the keys of group g's labels into their roots,
+///                     sort the group's roots by key and number them after
+///                     the group's prefix. Concurrent across groups.
+///   finalize_tile(t)  set parents[l] to the final label of each of tile
+///                     t's labels. Concurrent across tiles, and with
+///                     rewrite_run_labels of OTHER tiles.
+///
+/// A group is a run of whole tile-row bands. A component's root lies in
+/// the earliest row-major tile that contains it, so its band is the first
+/// band it touches, and its first visit lies in that band unless a
+/// two-line row pair straddles the band's lower edge. Group boundaries
+/// therefore sit at every band start for 4-connectivity and at every EVEN
+/// band start for 8-connectivity: no row pair crosses them, so every
+/// group's keys precede the next group's and per-group ranks offset by a
+/// prefix are the global ranks.
+///
+/// Full-width bands whose rows start even (8-connectivity), and any
+/// full-width bands under 4-connectivity, are already canonical: the scan
+/// issues labels in exactly the target order (merge_row_pair_runs), so
+/// numbering roots by increasing label IS the canonical numbering and the
+/// key walk is skipped.
+///
+/// `keys` is caller storage of at least (total used labels) entries with
+/// unspecified contents, indexed compactly by position in the tiles' used
+/// label ranges. The resolver borrows every span; they must outlive it.
+class RunLabelResolver {
+ public:
+  RunLabelResolver(std::span<Label> parents, std::span<const TileSpec> tiles,
+                   std::span<const RunBuffer> tile_runs,
+                   Connectivity connectivity, std::span<Label> keys);
+
+  [[nodiscard]] std::size_t groups() const noexcept {
+    return group_tiles_.size() - 1;
+  }
+
+  void resolve_tile(std::size_t t);
+  [[nodiscard]] Label number_groups();
+  void rank_group(std::size_t g);
+  void finalize_tile(std::size_t t);
+
+ private:
+  [[nodiscard]] Label slot(std::size_t t, Label l) const noexcept {
+    return offsets_[t] + (l - tiles_[t].base - 1);
+  }
+  template <bool kAligned>
+  void record_first_visits(std::size_t t);
+
+  std::span<Label> parents_;
+  std::span<const TileSpec> tiles_;
+  std::span<const RunBuffer> tile_runs_;
+  std::span<Label> keys_;
+  Connectivity connectivity_;
+  Coord rows_ = 0;
+  Coord cols_ = 0;
+  bool keyed_ = false;               // false: label order is canonical
+  std::vector<Label> offsets_;       // per tile: compact slot of base + 1
+  std::vector<Label> tile_roots_;    // per tile: components rooted there
+  std::vector<std::size_t> group_tiles_;  // group g: tiles [at g, at g+1)
+  std::vector<Label> group_start_;   // per group: labels before its first
+};
+
+/// Phase III single-threaded: the serial composition of RunLabelResolver's
+/// sub-phases. On return parents[l] is the FINAL label of every issued
+/// provisional label l; finish with rewrite_run_labels per tile. `remap`
+/// is caller storage of at least (total used labels) entries (it holds
+/// the resolver's keys); `rows` is the image height. Returns k.
 [[nodiscard]] Label resolve_final_run_labels(
     std::span<Label> parents, std::span<const TileSpec> tiles,
     std::span<const RunBuffer> tile_runs, Connectivity connectivity,
@@ -245,10 +314,10 @@ void merge_run_seams(std::span<const TileSpec> tiles,
 void rewrite_run_labels(const RunBuffer& runs, std::span<const Label> parents,
                         const TileSpec& tile, MutableImageView out);
 
-/// Fused-analysis epilogue of resolve_final_run_labels: reduce every
-/// tile's per-provisional-label feature cells into per-component records
-/// through the resolved parent array (parents[l] is final after
-/// resolve_final_run_labels), then derive centroids. This is where the
+/// Fused-analysis epilogue of Phase III: reduce every tile's
+/// per-provisional-label feature cells into per-component records
+/// through the resolved parent array (parents[l] is final after every
+/// tile's finalize_tile), then derive centroids. This is where the
 /// seam unions take effect on the features — a union recorded by
 /// merge_run_seams makes two provisional labels resolve to one final
 /// label, so their cells land in (and commutatively merge into) the same

@@ -1,5 +1,6 @@
 #include "engine/engine.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <string>
@@ -204,9 +205,25 @@ LabelingEngine::ShardBuffer LabelingEngine::take_shard_buffer(std::size_t n) {
   ShardBuffer buffer;
   {
     std::lock_guard lock(shard_buffers_mutex_);
-    if (!shard_buffers_.empty()) {
-      buffer = std::move(shard_buffers_.back());
-      shard_buffers_.pop_back();
+    // Best fit: the smallest parked buffer that holds n, so a small key
+    // array never takes the image-sized parent array's buffer. When none
+    // fits, regrow the largest rather than keep parking a misfit.
+    auto pick = shard_buffers_.end();
+    for (auto it = shard_buffers_.begin(); it != shard_buffers_.end(); ++it) {
+      if (it->capacity >= n &&
+          (pick == shard_buffers_.end() || it->capacity < pick->capacity)) {
+        pick = it;
+      }
+    }
+    if (pick == shard_buffers_.end()) {
+      pick = std::max_element(shard_buffers_.begin(), shard_buffers_.end(),
+                              [](const ShardBuffer& a, const ShardBuffer& b) {
+                                return a.capacity < b.capacity;
+                              });
+    }
+    if (pick != shard_buffers_.end()) {
+      buffer = std::move(*pick);
+      shard_buffers_.erase(pick);
     }
   }
   if (buffer.capacity < n) {
@@ -214,6 +231,7 @@ LabelingEngine::ShardBuffer LabelingEngine::take_shard_buffer(std::size_t n) {
     // phases initialize exactly the entries they use.
     buffer.data = std::make_unique_for_overwrite<Label[]>(n);
     buffer.capacity = n;
+    obs::counter("shard_buffer_allocations_total").add(1);
   }
   return buffer;
 }
@@ -221,8 +239,8 @@ LabelingEngine::ShardBuffer LabelingEngine::take_shard_buffer(std::size_t n) {
 void LabelingEngine::return_shard_buffer(ShardBuffer buffer) {
   if (buffer.data == nullptr) return;
   std::lock_guard lock(shard_buffers_mutex_);
-  // Two buffers per run (parents + remap), two runs' worth parked: more
-  // would hoard image-sized allocations.
+  // Two buffers per run (parents + resolver keys), two runs' worth
+  // parked: more would hoard image-sized allocations.
   if (shard_buffers_.size() < 4) {
     shard_buffers_.push_back(std::move(buffer));
   }

@@ -250,18 +250,19 @@ class LabelingEngine {
   /// Pop a client-recycled plane for a sharded run's output, if any.
   [[nodiscard]] LabelImage take_recycled_plane();
 
-  /// Pooled storage for sharded runs' global parent/remap arrays. These
-  /// live at the engine (one buffer spans all workers, so per-worker
-  /// arenas cannot hold them) and are handed out with UNSPECIFIED
-  /// contents — REM initializes p[l] = l as labels are issued and the
-  /// renumber pass zero-fills its own prefix, so the usual
+  /// Pooled storage for sharded runs' global parent and resolver-key
+  /// arrays. These live at the engine (one buffer spans all workers, so
+  /// per-worker arenas cannot hold them) and are handed out with
+  /// UNSPECIFIED contents — REM initializes p[l] = l as labels are issued
+  /// and the resolver writes every key slot it reads, so the usual
   /// std::vector value-initialization would be a full serial memset of
   /// up to 4N bytes per run for nothing.
   struct ShardBuffer {
     std::unique_ptr<Label[]> data;
     std::size_t capacity = 0;
   };
-  /// A buffer of capacity >= n (pooled if available, grown otherwise).
+  /// A buffer of capacity >= n: the best-fitting parked one if any fits,
+  /// else a fresh allocation (counted by shard_buffer_allocations_total).
   [[nodiscard]] ShardBuffer take_shard_buffer(std::size_t n);
   /// Hand a buffer back for the next sharded run. No-op on empty buffers.
   void return_shard_buffer(ShardBuffer buffer);
@@ -315,7 +316,7 @@ class LabelingEngine {
   std::mutex recycled_mutex_;
   std::vector<LabelImage> recycled_planes_;
 
-  // Parent/remap buffers parked between sharded runs (see ShardBuffer).
+  // Parent/key buffers parked between sharded runs (see ShardBuffer).
   std::mutex shard_buffers_mutex_;
   std::vector<ShardBuffer> shard_buffers_;
   std::vector<ShardCellBuffer> shard_cell_buffers_;

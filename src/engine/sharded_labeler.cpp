@@ -238,18 +238,20 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
     finish_phase(1, &ShardedRun::resolve);
   }
 
-  // --- Phase III: FLATTEN + canonical renumber (single worker) --------------
+  // --- Phase III: FLATTEN + canonical renumber (RunLabelResolver) ----------
+  // resolve job per tile -> rank job per band group -> (stats only)
+  // finalize job per tile + the serial feature fold. Without stats each
+  // rewrite job finalizes its own tile first.
   void resolve() {
     result_.timings.merge_ms = timer_.elapsed_ms() - result_.timings.scan_ms;
     check_qos();  // phase boundary: shed before flatten + rewrite
     if (!failed_.load(std::memory_order_acquire)) {
       try {
-        obs::Span span("shard.flatten", "shard");
         Label total_used = 0;
         for (const TileSpec& tile : tiles_) total_used += tile.used;
         // Every per-job counter slot is quiescent now (the merge latch
-        // drained), so this single-worker phase folds them into the
-        // response counters.
+        // drained), so the latch winner folds them into the response
+        // counters.
         {
           auto& counters = result_.timings.counters;
           counters.tiles = tiles_.size();
@@ -266,42 +268,104 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
             counters.runs_extracted += tile.size();
           }
         }
-        const std::size_t remap_size =
-            static_cast<std::size_t>(total_used) + 1;
-        remap_ = engine_.take_shard_buffer(remap_size);
-        result_.num_components = resolve_final_run_labels(
-            {parents_.data.get(), parents_size_}, tiles_, runs(),
-            connectivity_, request_.input.rows(),
-            {remap_.data.get(), remap_size});
-        if (with_stats()) {
-          // The seam-merge jobs' unions are resolved in the parent table
-          // now, so this fold merges accumulators exactly where labels
-          // were unified. O(labels issued) — no pixel is revisited.
-          stats_.components.assign(
-              static_cast<std::size_t>(result_.num_components), {});
-          fold_tile_features({cells_.data.get(), parents_size_},
-                             {parents_.data.get(), parents_size_}, tiles_,
-                             stats_.components);
-        }
+        const auto key_slots = static_cast<std::size_t>(total_used);
+        keys_ = engine_.take_shard_buffer(key_slots);
+        resolver_.emplace(std::span<Label>{parents_.data.get(), parents_size_},
+                          tiles_, runs(), connectivity_,
+                          std::span<Label>{keys_.data.get(), key_slots});
       } catch (...) {
         fail(std::current_exception());
       }
     }
+    if (failed_.load(std::memory_order_acquire)) {
+      start_rewrite();  // nothing is in flight: reports the failure
+      return;
+    }
+    fan_out(tiles_.size(), [](const std::shared_ptr<ShardedRun>& self,
+                              std::size_t t) { self->run_resolve(t); });
+  }
+
+  void run_resolve(std::size_t t) {
+    if (!failed_.load(std::memory_order_acquire)) {
+      obs::Span span("shard.flatten", "shard");
+      resolver_->resolve_tile(t);
+    }
+    finish_phase(1, &ShardedRun::start_rank);
+  }
+
+  void start_rank() {
+    if (failed_.load(std::memory_order_acquire)) {
+      start_rewrite();
+      return;
+    }
+    result_.num_components = resolver_->number_groups();
+    fan_out(resolver_->groups(), [](const std::shared_ptr<ShardedRun>& self,
+                                    std::size_t g) { self->run_rank(g); });
+  }
+
+  void run_rank(std::size_t g) {
+    if (!failed_.load(std::memory_order_acquire)) {
+      try {
+        obs::Span span("shard.rank", "shard");
+        resolver_->rank_group(g);
+      } catch (...) {
+        fail(std::current_exception());
+      }
+    }
+    finish_phase(1, &ShardedRun::finish_resolve);
+  }
+
+  void finish_resolve() {
+    if (failed_.load(std::memory_order_acquire) || !with_stats()) {
+      start_rewrite();
+      return;
+    }
+    fan_out(tiles_.size(), [](const std::shared_ptr<ShardedRun>& self,
+                              std::size_t t) { self->run_finalize(t); });
+  }
+
+  void run_finalize(std::size_t t) {
+    if (!failed_.load(std::memory_order_acquire)) {
+      obs::Span span("shard.finalize", "shard");
+      resolver_->finalize_tile(t);
+    }
+    finish_phase(1, &ShardedRun::fold_stats);
+  }
+
+  void fold_stats() {
+    if (!failed_.load(std::memory_order_acquire)) {
+      try {
+        obs::Span span("shard.fold", "shard");
+        // The seam-merge jobs' unions are resolved in the parent table
+        // now, so this fold merges accumulators exactly where labels
+        // were unified. O(labels issued) — no pixel is revisited.
+        stats_.components.assign(
+            static_cast<std::size_t>(result_.num_components), {});
+        fold_tile_features({cells_.data.get(), parents_size_},
+                           {parents_.data.get(), parents_size_}, tiles_,
+                           stats_.components);
+      } catch (...) {
+        fail(std::current_exception());
+      }
+    }
+    start_rewrite();
+  }
+
+  // --- Phase IV: parallel rewrite --------------------------------------------
+  // Expand the resolved run labels per tile (fill-width segments): the
+  // owned plane or the caller's label_out is written here for the first
+  // and only time.
+  void start_rewrite() {
     result_.timings.flatten_ms =
         timer_.elapsed_ms() - result_.timings.scan_ms -
         result_.timings.merge_ms;
     if (failed_.load(std::memory_order_acquire) ||
         !(owns_plane() || request_.label_out.has_value())) {
-      // The merge latch just drained and no rewrite jobs exist: report.
+      // The previous latch just drained and no rewrite jobs exist: report.
       // A request with no label destination (stats only) ends here too.
       deliver();
       return;
     }
-
-    // --- Phase IV: parallel rewrite ------------------------------------------
-    // Expand the resolved run labels per tile (fill-width segments): the
-    // owned plane or the caller's label_out is written here for the first
-    // and only time.
     fan_out(tiles_.size(), [](const std::shared_ptr<ShardedRun>& self,
                               std::size_t t) { self->run_rewrite(t); });
   }
@@ -309,6 +373,10 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
   void run_rewrite(std::size_t t) {
     if (!failed_.load(std::memory_order_acquire)) {
       obs::Span span("shard.rewrite", "shard");
+      // A tile's runs carry only its own labels, and finalize writes only
+      // those, so finalize + rewrite of one tile races with no other job.
+      // Stats requests finalized every tile before the fold.
+      if (!with_stats()) resolver_->finalize_tile(t);
       const std::span<const Label> parents{parents_.data.get(), parents_size_};
       const MutableImageView out = request_.label_out.has_value()
                                        ? *request_.label_out
@@ -333,7 +401,7 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
     // job has drained, and the engine is alive (deliver runs on a worker
     // or on the submitting thread).
     engine_.return_shard_buffer(std::move(parents_));
-    engine_.return_shard_buffer(std::move(remap_));
+    engine_.return_shard_buffer(std::move(keys_));
     engine_.return_shard_cells(std::move(cells_));
     engine_.return_run_buffers(std::move(tile_runs_));
     if (failed_.load(std::memory_order_acquire)) {
@@ -479,11 +547,12 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
   analysis::ComponentStats stats_;       // fused features (outputs.stats)
   LabelingEngine::ShardBuffer parents_;  // global union-find parents
   std::size_t parents_size_ = 0;         // image.size() + 1
-  LabelingEngine::ShardBuffer remap_;    // renumber table (Phase III)
+  LabelingEngine::ShardBuffer keys_;     // resolver keys (Phase III)
   LabelingEngine::ShardCellBuffer cells_;  // feature cells (outputs.stats)
   std::vector<TileSpec> tiles_;
   std::vector<RunBuffer> tile_runs_;       // per-tile runs (pooled)
-  TileGridShape grid_;                     // seam/renumber tile lookup
+  TileGridShape grid_;                     // seam tile lookup
+  std::optional<RunLabelResolver> resolver_;  // Phase III (set by resolve)
 
   // Per-job observability slots (disjoint by tile index; folded by
   // resolve() into result_.timings.counters after the merge latch).

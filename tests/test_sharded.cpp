@@ -299,8 +299,8 @@ TEST(Sharded, RejectsInvalidOptions) {
 
 TEST(Sharded, StatsOnlyRequestSkipsThePlaneAndTheRewrite) {
   // No label destination: the response carries no plane, and the pipeline
-  // fans out scan + merge jobs only — the rewrite phase has nothing to
-  // write, so it must not run.
+  // fans out scan, merge, resolve, rank and finalize jobs only — the
+  // rewrite phase has nothing to write, so it must not run.
   LabelingEngine eng({.workers = 2});
   const BinaryImage image = gen::landcover_like(64, 96, 21);
   const LabelingResult reference = AremspLabeler().label(image);
@@ -309,6 +309,7 @@ TEST(Sharded, StatsOnlyRequestSkipsThePlaneAndTheRewrite) {
   request.outputs = OutputSet{.labels = false, .stats = true};
   request.shard = ShardOptions{.tile_rows = 16, .tile_cols = 32};
   const std::uint64_t tiles = (64 / 16) * (96 / 32);
+  const std::uint64_t bands = 64 / 16;  // even band starts: one rank each
   const std::uint64_t before = obs::counter("shard_fanout_jobs_total").value();
   const LabelResponse response = eng.submit(request).get();
   const std::uint64_t jobs =
@@ -321,7 +322,28 @@ TEST(Sharded, StatsOnlyRequestSkipsThePlaneAndTheRewrite) {
       *response.stats,
       analysis::compute_stats(reference.labels, reference.num_components),
       "stats-only shard");
-  EXPECT_EQ(jobs, tiles /* scan */ + tiles /* merge */);
+  EXPECT_EQ(jobs, tiles /* scan */ + tiles /* merge */ + tiles /* resolve */ +
+                      bands /* rank */ + tiles /* finalize */);
+}
+
+TEST(Sharded, WarmRequestsAllocateNoShardBuffer) {
+  // Parents and resolver keys are parked best-fit between requests: once
+  // one request has run, the next ones find both buffers in the pool.
+  LabelingEngine eng({.workers = 2});
+  const BinaryImage image = gen::landcover_like(96, 80, 5);
+  LabelImage plane(image.rows(), image.cols());
+  const auto submit = [&] {
+    LabelRequest request;
+    request.input = image;
+    request.label_out = MutableImageView(plane);
+    request.shard = ShardOptions{.tile_rows = 32, .tile_cols = 32};
+    return eng.submit(std::move(request)).get();
+  };
+  const Label components = submit().num_components;  // warm-up
+  obs::Counter& allocations = obs::counter("shard_buffer_allocations_total");
+  const std::uint64_t before = allocations.value();
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(submit().num_components, components);
+  EXPECT_EQ(allocations.value() - before, 0u);
 }
 
 TEST(Sharded, ReusesRecycledPlanes) {

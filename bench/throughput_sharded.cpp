@@ -2,9 +2,9 @@
 // LabelingEngine::label_sharded at several tile geometries and worker
 // counts, against single-thread sequential AREMSP as the speedup baseline
 // and in-process run-based tiled PAREMSP (paremsp2d_rle, the same phase
-// code) as the OpenMP reference point. Both sides are timed warm: the
-// engine adopts each recycled output plane, and paremsp2d_rle runs
-// through one persistent LabelScratch.
+// code) as the OpenMP reference point. paremsp2d_rle is timed warm,
+// through one persistent LabelScratch; the engine keeps its pooled
+// parents and run buffers but hands out a fresh output plane per request.
 //
 // Besides the human-readable table, the bench writes BENCH_sharded.json
 // (machine-readable trajectory record; schema below) so successive PRs can
@@ -195,16 +195,9 @@ int main() {
         }
       }
 
-      // Warm like the in-process row below: each output plane goes back
-      // to the engine for the next request to adopt.
       const auto ms = sample_latencies(
           reps, reference.num_components,
-          [&] {
-            LabelingResult got = eng.label_sharded(image, options);
-            eng.recycle(std::move(got.labels));
-            return got;
-          },
-          failures);
+          [&] { return eng.label_sharded(image, options); }, failures);
       RunRecord r;
       r.algo = "engine.sharded";
       r.tile_rows = tr;
@@ -216,8 +209,8 @@ int main() {
   }
 
   // --- In-process tiled PAREMSP reference (OpenMP, same phase code) ---------
-  // Timed warm, like the engine rows: one persistent LabelScratch holds
-  // the parents, run buffers and (recycled) output plane across calls.
+  // Timed warm: one persistent LabelScratch holds the parents, run
+  // buffers and (recycled) output plane across calls.
   {
     const TiledParemspRleLabeler tiled(RleConfig{
         .threads = max_threads, .tile_rows = 256, .tile_cols = 256});

@@ -25,9 +25,9 @@ namespace {
 /// grid, scan runs per tile, merge boundary runs, resolve + canonically
 /// renumber (RunLabelResolver), and expand the resolved labels back to the
 /// raster. `threads` <= 1 serializes every phase (aremsp_rle); `locks` may
-/// be null for the non-LockedRem backends. `threshold` >= 0 scans `image` as GRAYSCALE
-/// through the fused pixel > threshold encoder (run_gray_impl); -1 is the
-/// plain binary mode.
+/// be null for the non-LockedRem backends. `threshold` >= 0 scans `image`
+/// as GRAYSCALE through the fused pixel > threshold encoder
+/// (run_gray_impl); -1 is the plain binary mode.
 LabelingResult label_runs_impl(ConstImageView image, Connectivity connectivity,
                                LabelScratch& scratch,
                                analysis::ComponentStats* stats,
@@ -152,11 +152,8 @@ LabelingResult label_runs_impl(ConstImageView image, Connectivity connectivity,
   // barrier and every region: the last resolve job numbers the groups
   // before the loop barrier, and the master thread reads the timers.
   phase.reset();
-  Label total_used = 0;
-  for (const auto& tile : tiles) total_used += tile.used;
   RunLabelResolver resolver(p, tiles, {tile_runs.data(), tile_runs.size()},
-                            connectivity,
-                            scratch.aux(static_cast<std::size_t>(total_used)));
+                            connectivity);
   const int ngroups = static_cast<int>(resolver.groups());
   std::atomic<int> resolved{0};
 #pragma omp parallel num_threads(team)
@@ -174,37 +171,32 @@ LabelingResult label_runs_impl(ConstImageView image, Connectivity connectivity,
       obs::Span span("rle.rank.band", "tile");
       resolver.rank_group(static_cast<std::size_t>(g));
     }
-    if (stats != nullptr) {
-#pragma omp for schedule(dynamic, 1)
-      for (int t = 0; t < ntiles; ++t) {
-        resolver.finalize_tile(static_cast<std::size_t>(t));
-      }
-#pragma omp single
-      {
-        stats->components.assign(
-            static_cast<std::size_t>(result.num_components), {});
-        fold_tile_features(cells, p, tiles, stats->components);
-      }
-    }
 #pragma omp master
     {
       result.timings.flatten_ms = phase.elapsed_ms();
       phase.reset();
     }
-    // Final labeling: expand resolved run labels (fill-width segments).
-    // Without stats each tile finalizes its own labels first: a tile's
-    // runs carry only its own labels, and finalize writes only those.
+    // Final labeling: each tile finalizes its own labels, then expands
+    // them (fill-width segments). A tile's runs carry only its own
+    // labels, and finalize writes only those.
 #pragma omp for schedule(dynamic, 1) nowait
     for (int t = 0; t < ntiles; ++t) {
       obs::Span span("rle.rewrite.tile", "tile");
-      if (stats == nullptr) {
-        resolver.finalize_tile(static_cast<std::size_t>(t));
-      }
+      resolver.finalize_tile(static_cast<std::size_t>(t));
       rewrite_run_labels(tile_runs[static_cast<std::size_t>(t)], p,
                          tiles[static_cast<std::size_t>(t)], result.labels);
     }
   }
   result.timings.relabel_ms = phase.elapsed_ms();
+  if (stats != nullptr) {
+    // Every label is final now; the seam unions merge the feature cells
+    // here. O(labels issued) — no pixel is revisited.
+    phase.reset();
+    stats->components.assign(static_cast<std::size_t>(result.num_components),
+                             {});
+    fold_tile_features(cells, p, tiles, stats->components);
+    result.timings.flatten_ms += phase.elapsed_ms();
+  }
   result.timings.total_ms = total.elapsed_ms();
   return result;
 }

@@ -1,7 +1,6 @@
 #include "core/tiled_phases.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/contracts.hpp"
 #include "core/equiv_policies.hpp"
@@ -80,13 +79,6 @@ Label scan_tile(ConstImageView image, std::span<Label> parents,
 
 namespace {
 
-/// Key slot value of a numbered root (after rank_group). Keys are
-/// positions in the canonical visit order, so they are >= 0.
-constexpr Label kRootKey = -1;
-/// Key slot value before any run of an odd-aligned tile has been seen:
-/// above every key, so the first-visit walk can take plain minima.
-constexpr Label kUnsetKey = std::numeric_limits<Label>::max();
-
 /// The two run streams of one row pair, merged by (col_begin, upper
 /// first on ties) — the sequential two-line visit order.
 template <class Visit>
@@ -97,9 +89,9 @@ void visit_row_pair(std::span<const Run> upper, std::span<const Run> lower,
   while (u < upper.size() || l < lower.size()) {
     if (l >= lower.size() ||
         (u < upper.size() && upper[u].col_begin <= lower[l].col_begin)) {
-      visit(upper[u++], 0);
+      visit(upper[u++]);
     } else {
-      visit(lower[l++], 1);
+      visit(lower[l++]);
     }
   }
 }
@@ -109,30 +101,18 @@ void visit_row_pair(std::span<const Run> upper, std::span<const Run> lower,
 RunLabelResolver::RunLabelResolver(std::span<Label> parents,
                                    std::span<const TileSpec> tiles,
                                    std::span<const RunBuffer> tile_runs,
-                                   Connectivity connectivity,
-                                   std::span<Label> keys)
+                                   Connectivity connectivity)
     : parents_(parents),
       tiles_(tiles),
       tile_runs_(tile_runs),
-      keys_(keys),
       connectivity_(connectivity),
-      offsets_(tiles.size()),
+      grid_(tile_grid_shape(tiles)),
       tile_roots_(tiles.size(), 0) {
   PAREMSP_REQUIRE(tile_runs.size() >= tiles.size(),
                   "one run buffer per tile required");
-  Label used = 0;
-  for (std::size_t t = 0; t < tiles.size(); ++t) {
-    offsets_[t] = used;
-    used += tiles[t].used;
-  }
-  PAREMSP_REQUIRE(keys.size() >= static_cast<std::size_t>(used),
-                  "key storage smaller than the issued label count");
   group_tiles_.push_back(0);
   if (tiles.empty()) return;
-  rows_ = tiles.back().row_end;
-  cols_ = tiles.back().col_end;
-  const TileGridShape grid = tile_grid_shape(tiles);
-  const auto cols = static_cast<std::size_t>(grid.grid_cols);
+  const auto cols = static_cast<std::size_t>(grid_.grid_cols);
   const bool eight = connectivity == Connectivity::Eight;
   bool pair_aligned = true;
   for (std::size_t t = cols; t < tiles.size(); t += cols) {
@@ -141,66 +121,8 @@ RunLabelResolver::RunLabelResolver(std::span<Label> parents,
     if (!eight || even) group_tiles_.push_back(t);
   }
   group_tiles_.push_back(tiles.size());
-  group_start_.assign(groups(), 0);
-  keyed_ = !(grid.grid_cols == 1 && (!eight || pair_aligned));
-}
-
-template <bool kAligned>
-void RunLabelResolver::record_first_visits(std::size_t t) {
-  const TileSpec& tile = tiles_[t];
-  const RunBuffer& runs = tile_runs_[t];
-  const Label shift = offsets_[t] - tile.base - 1;  // slot(t, l) = l + shift
-  // Walking in the canonical order, the first run carrying a label has
-  // that label's minimal key. On a scan-aligned tile the first run is the
-  // run that ISSUED the label, i.e. the first whose label exceeds every
-  // label seen so far (fresh labels rise in scan order); other tiles take
-  // plain minima over all of their runs.
-  Label seen = tile.base;
-  if constexpr (!kAligned) {
-    std::fill_n(keys_.begin() + offsets_[t], tile.used, kUnsetKey);
-  }
-  const auto record = [&](const Run& run, Label key) {
-    if constexpr (kAligned) {
-      if (run.label > seen) {
-        seen = run.label;
-        keys_[static_cast<std::size_t>(run.label + shift)] = key;
-      }
-    } else {
-      Label& first = keys_[static_cast<std::size_t>(run.label + shift)];
-      first = std::min(first, key);
-    }
-  };
-
-  const std::int64_t cols = cols_;
-  if (connectivity_ == Connectivity::Four) {
-    for (Coord r = tile.row_begin; r < tile.row_end; ++r) {
-      const std::int64_t row_key = r * cols;
-      for (const Run& run : runs.row(r)) {
-        record(run, static_cast<Label>(row_key + run.col_begin));
-      }
-    }
-    return;
-  }
-  // Two-line keys: a pixel's index in the sequential visit order, pair
-  // (top, top + 1) column by column, upper before lower; a trailing
-  // single-row pair is visited column by column alone.
-  const auto visit_pair = [&](Coord top, std::span<const Run> upper,
-                              std::span<const Run> lower) {
-    const std::int64_t pair_key = top * cols;
-    const std::int64_t step = top + 1 < rows_ ? 2 : 1;
-    visit_row_pair(upper, lower, [&](const Run& run, int parity) {
-      record(run, static_cast<Label>(pair_key + step * run.col_begin + parity));
-    });
-  };
-  Coord r = tile.row_begin;
-  if (r % 2 != 0) {  // the tile's first row closes the pair above it
-    visit_pair(r - 1, {}, runs.row(r));
-    ++r;
-  }
-  for (; r < tile.row_end; r += 2) {
-    visit_pair(r, runs.row(r),
-               r + 1 < tile.row_end ? runs.row(r + 1) : std::span<const Run>{});
-  }
+  group_start_.assign(groups() + 1, 0);
+  walk_ = !(grid_.grid_cols == 1 && (!eight || pair_aligned));
 }
 
 void RunLabelResolver::resolve_tile(std::size_t t) {
@@ -230,12 +152,6 @@ void RunLabelResolver::resolve_tile(std::size_t t) {
     uf::detail::store(parents, l, p);
   }
   tile_roots_[t] = roots;
-  if (!keyed_) return;
-  if (connectivity_ == Connectivity::Four || tile.row_begin % 2 == 0) {
-    record_first_visits<true>(t);
-  } else {
-    record_first_visits<false>(t);
-  }
 }
 
 Label RunLabelResolver::number_groups() {
@@ -246,85 +162,93 @@ Label RunLabelResolver::number_groups() {
       k += tile_roots_[t];
     }
   }
+  group_start_[groups()] = k;
   return k;
 }
 
 void RunLabelResolver::rank_group(std::size_t g) {
   const std::size_t t0 = group_tiles_[g];
   const std::size_t t1 = group_tiles_[g + 1];
+  const Label group_base = tiles_[t0].base;
+  Label* const parents = parents_.data();
+  // Number the group's roots in canonical order, stored as -(final label)
+  // so that a numbered root reads apart from an unnumbered one (p[l] == l).
   Label next = group_start_[g];
-  if (!keyed_) {
+  const Label last = group_start_[g + 1];
+  if (!walk_) {
     // Label order is canonical: number roots as they come.
     for (std::size_t t = t0; t < t1; ++t) {
       const TileSpec& tile = tiles_[t];
       for (Label l = tile.base + 1; l <= tile.base + tile.used; ++l) {
-        Label& key = keys_[static_cast<std::size_t>(slot(t, l))];
-        if (parents_[static_cast<std::size_t>(l)] == l) {
-          parents_[static_cast<std::size_t>(l)] = ++next;
-          key = kRootKey;
-        } else {
-          key = 0;
+        if (parents[l] == l) parents[l] = -++next;
+      }
+    }
+  } else {
+    // First appearance over the group's rows. A root in an earlier group
+    // (<= group_base) was numbered there; its entry is not ours to read.
+    // A visited label takes its root's -number too, so its later runs
+    // skip the root lookup.
+    const auto visit = [&](const Run& run) {
+      Label& entry = parents[run.label];
+      const Label root = entry;
+      if (root <= group_base) return;  // numbered (< 0) or an earlier group
+      Label& root_entry = parents[root];
+      if (root_entry > 0) root_entry = -++next;
+      entry = root_entry;
+    };
+    // Tiles partition the columns, so an image row's runs are the tile
+    // columns' runs in order, and so are a row pair's merged streams.
+    const auto cols = static_cast<std::size_t>(grid_.grid_cols);
+    const auto row_runs = [&](Coord r, std::size_t tc) {
+      const std::size_t band = static_cast<std::size_t>(r / grid_.tile_rows);
+      return tile_runs_[band * cols + tc].row(r);
+    };
+    const Coord r0 = tiles_[t0].row_begin;
+    const Coord r1 = tiles_[t1 - 1].row_end;
+    if (connectivity_ == Connectivity::Eight) {
+      // Two-line visit order: a component's first two-line-visited pixel
+      // is always one of its runs' col_begin (an earlier pixel of the same
+      // run would contradict minimality). The group starts on an even
+      // row, so its pairs are the global pairs.
+      for (Coord r = r0; r < r1 && next < last; r += 2) {
+        for (std::size_t tc = 0; tc < cols; ++tc) {
+          visit_row_pair(row_runs(r, tc),
+                         r + 1 < r1 ? row_runs(r + 1, tc)
+                                    : std::span<const Run>{},
+                         visit);
+        }
+      }
+    } else {
+      for (Coord r = r0; r < r1 && next < last; ++r) {
+        for (std::size_t tc = 0; tc < cols; ++tc) {
+          for (const Run& run : row_runs(r, tc)) visit(run);
         }
       }
     }
-    return;
   }
 
-  // Fold every label's first visit into its root's key, for the roots of
-  // this group (a root in an earlier group was visited first there).
-  const Label group_base = tiles_[t0].base;
-  Label roots = 0;
-  for (std::size_t t = t0; t < t1; ++t) {
-    const TileSpec& tile = tiles_[t];
-    roots += tile_roots_[t];
-    for (Label l = tile.base + 1; l <= tile.base + tile.used; ++l) {
-      const Label root = parents_[static_cast<std::size_t>(l)];
-      if (root == l || root <= group_base) continue;
-      // The root's tile: this one, or the last earlier tile of the group
-      // whose base lies below it.
-      std::size_t rt = t;
-      if (root <= tile.base) {
-        const auto first = tiles_.begin() + static_cast<std::ptrdiff_t>(t0);
-        rt = static_cast<std::size_t>(
-            std::partition_point(
-                first, tiles_.begin() + static_cast<std::ptrdiff_t>(t),
-                [root](const TileSpec& s) { return s.base < root; }) -
-            tiles_.begin() - 1);
-      }
-      Label& root_key = keys_[static_cast<std::size_t>(slot(rt, root))];
-      root_key = std::min(root_key, keys_[static_cast<std::size_t>(slot(t, l))]);
-    }
-  }
-
-  // Sort the group's roots by key (key high, label low: keys are unique
-  // per component) and number them after the group's prefix.
-  std::vector<std::uint64_t> order;
-  order.reserve(static_cast<std::size_t>(roots));
+  // Final labels, in increasing label order: a numbered label flips to
+  // its number; any other label whose root lies in this group copies the
+  // root's number (the root is the smaller label, so it flipped already);
+  // a label whose root lies in an earlier group keeps -root for
+  // finalize_tile.
   for (std::size_t t = t0; t < t1; ++t) {
     const TileSpec& tile = tiles_[t];
     for (Label l = tile.base + 1; l <= tile.base + tile.used; ++l) {
-      if (parents_[static_cast<std::size_t>(l)] != l) continue;
-      Label& key = keys_[static_cast<std::size_t>(slot(t, l))];
-      order.push_back(static_cast<std::uint64_t>(key) << 32 |
-                      static_cast<std::uint32_t>(l));
-      key = kRootKey;
+      const Label p = parents[l];
+      parents[l] = p < 0 ? -p : (p > group_base ? parents[p] : -p);
     }
-  }
-  std::sort(order.begin(), order.end());
-  for (const std::uint64_t entry : order) {
-    parents_[static_cast<std::size_t>(entry & 0xffffffffu)] = ++next;
   }
 }
 
 void RunLabelResolver::finalize_tile(std::size_t t) {
   const TileSpec& tile = tiles_[t];
-  const Label shift = offsets_[t] - tile.base - 1;
+  Label* const parents = parents_.data();
   for (Label l = tile.base + 1; l <= tile.base + tile.used; ++l) {
-    // A root already holds its final label (rank_group); every other
-    // label points at its root, whose entry no finalize writes.
-    if (keys_[static_cast<std::size_t>(l + shift)] == kRootKey) continue;
-    Label& p = parents_[static_cast<std::size_t>(l)];
-    p = parents_[static_cast<std::size_t>(p)];
+    // -root of a root in an earlier group, whose entry holds its final
+    // label and is never written here.
+    const Label p = parents[l];
+    if (p < 0) parents[l] = parents[-p];
   }
 }
 
@@ -332,10 +256,10 @@ Label resolve_final_run_labels(std::span<Label> parents,
                                std::span<const TileSpec> tiles,
                                std::span<const RunBuffer> tile_runs,
                                Connectivity connectivity, Coord rows,
-                               std::span<Label> remap) {
+                               std::span<Label> /*remap*/) {
   PAREMSP_REQUIRE(tiles.empty() || tiles.back().row_end == rows,
                   "rows does not match the tile grid");
-  RunLabelResolver resolver(parents, tiles, tile_runs, connectivity, remap);
+  RunLabelResolver resolver(parents, tiles, tile_runs, connectivity);
   for (std::size_t t = 0; t < tiles.size(); ++t) resolver.resolve_tile(t);
   const Label k = resolver.number_groups();
   for (std::size_t g = 0; g < resolver.groups(); ++g) resolver.rank_group(g);

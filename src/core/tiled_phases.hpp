@@ -47,8 +47,8 @@
 // in that visit order. A 2-D grid's bases are prefix sums in tile order
 // instead, so numbering roots by label would permute the components —
 // numbering them by their first-visit position in the sequential visit
-// order restores exactly the sequential numbering, and that position is
-// computable per tile and rankable per tile-row band (RunLabelResolver).
+// order restores exactly the sequential numbering, and each group of
+// tile-row bands can walk its own rows for it (RunLabelResolver).
 #pragma once
 
 #include <algorithm>
@@ -228,43 +228,46 @@ void merge_run_seams(std::span<const TileSpec> tiles,
 /// The sub-phases, each separated from the next by a barrier or latch:
 ///
 ///   resolve_tile(t)   point each of tile t's labels at its REM root (the
-///                     component's minimum label) and record each label's
-///                     first-visit KEY — its position in the canonical
-///                     order — from tile t's runs. Concurrent across
-///                     tiles: roots in other tiles are chased through
-///                     relaxed atomic loads while those tiles compress.
+///                     component's minimum label) and count the roots.
+///                     Concurrent across tiles: roots in other tiles are
+///                     chased through relaxed atomic loads while those
+///                     tiles compress.
 ///   number_groups()   serial, O(tiles): exclusive prefix of the per-group
-///                     component counts; returns k.
-///   rank_group(g)     fold the keys of group g's labels into their roots,
-///                     sort the group's roots by key and number them after
-///                     the group's prefix. Concurrent across groups.
-///   finalize_tile(t)  set parents[l] to the final label of each of tile
-///                     t's labels. Concurrent across tiles, and with
-///                     rewrite_run_labels of OTHER tiles.
+///                     root counts; returns k.
+///   rank_group(g)     walk group g's rows in the canonical order and
+///                     number the roots that lie in the group on first
+///                     appearance, after the group's prefix; then give
+///                     every label of the group whose root is in the
+///                     group its final label. Concurrent across groups: a
+///                     group reads and writes only its own labels' entries.
+///   finalize_tile(t)  give each of tile t's remaining labels (root in an
+///                     earlier group) its root's final label. Concurrent
+///                     across tiles, and with rewrite_run_labels of OTHER
+///                     tiles.
 ///
 /// A group is a run of whole tile-row bands. A component's root lies in
 /// the earliest row-major tile that contains it, so its band is the first
 /// band it touches, and its first visit lies in that band unless a
-/// two-line row pair straddles the band's lower edge. Group boundaries
-/// therefore sit at every band start for 4-connectivity and at every EVEN
-/// band start for 8-connectivity: no row pair crosses them, so every
-/// group's keys precede the next group's and per-group ranks offset by a
-/// prefix are the global ranks.
+/// two-line row pair straddles the band's upper edge — then it lies in
+/// the pair's lower row, still inside the band. Group boundaries sit at
+/// every band start for 4-connectivity and at every EVEN band start for
+/// 8-connectivity, so no row pair crosses them: every group's first
+/// appearances precede the next group's, and numbering each group after a
+/// prefix of the group counts gives the global numbering.
 ///
 /// Full-width bands whose rows start even (8-connectivity), and any
 /// full-width bands under 4-connectivity, are already canonical: the scan
 /// issues labels in exactly the target order (merge_row_pair_runs), so
 /// numbering roots by increasing label IS the canonical numbering and the
-/// key walk is skipped.
+/// walk is skipped.
 ///
-/// `keys` is caller storage of at least (total used labels) entries with
-/// unspecified contents, indexed compactly by position in the tiles' used
-/// label ranges. The resolver borrows every span; they must outlive it.
+/// The resolver borrows every span; they must outlive it. Only the
+/// constructor allocates (O(tiles)); the sub-phases never throw.
 class RunLabelResolver {
  public:
   RunLabelResolver(std::span<Label> parents, std::span<const TileSpec> tiles,
                    std::span<const RunBuffer> tile_runs,
-                   Connectivity connectivity, std::span<Label> keys);
+                   Connectivity connectivity);
 
   [[nodiscard]] std::size_t groups() const noexcept {
     return group_tiles_.size() - 1;
@@ -276,21 +279,12 @@ class RunLabelResolver {
   void finalize_tile(std::size_t t);
 
  private:
-  [[nodiscard]] Label slot(std::size_t t, Label l) const noexcept {
-    return offsets_[t] + (l - tiles_[t].base - 1);
-  }
-  template <bool kAligned>
-  void record_first_visits(std::size_t t);
-
   std::span<Label> parents_;
   std::span<const TileSpec> tiles_;
   std::span<const RunBuffer> tile_runs_;
-  std::span<Label> keys_;
   Connectivity connectivity_;
-  Coord rows_ = 0;
-  Coord cols_ = 0;
-  bool keyed_ = false;               // false: label order is canonical
-  std::vector<Label> offsets_;       // per tile: compact slot of base + 1
+  TileGridShape grid_;
+  bool walk_ = false;                // false: label order is canonical
   std::vector<Label> tile_roots_;    // per tile: components rooted there
   std::vector<std::size_t> group_tiles_;  // group g: tiles [at g, at g+1)
   std::vector<Label> group_start_;   // per group: labels before its first
@@ -298,9 +292,9 @@ class RunLabelResolver {
 
 /// Phase III single-threaded: the serial composition of RunLabelResolver's
 /// sub-phases. On return parents[l] is the FINAL label of every issued
-/// provisional label l; finish with rewrite_run_labels per tile. `remap`
-/// is caller storage of at least (total used labels) entries (it holds
-/// the resolver's keys); `rows` is the image height. Returns k.
+/// provisional label l; finish with rewrite_run_labels per tile. The
+/// renumber works in place, so `remap` is not read; `rows` is the image
+/// height. Returns k.
 [[nodiscard]] Label resolve_final_run_labels(
     std::span<Label> parents, std::span<const TileSpec> tiles,
     std::span<const RunBuffer> tile_runs, Connectivity connectivity,

@@ -205,9 +205,9 @@ LabelingEngine::ShardBuffer LabelingEngine::take_shard_buffer(std::size_t n) {
   ShardBuffer buffer;
   {
     std::lock_guard lock(shard_buffers_mutex_);
-    // Best fit: the smallest parked buffer that holds n, so a small key
-    // array never takes the image-sized parent array's buffer. When none
-    // fits, regrow the largest rather than keep parking a misfit.
+    // Best fit: the smallest parked buffer that holds n, so a small
+    // image's run never takes (and strands) a large image's buffer. When
+    // none fits, regrow the largest rather than keep parking a misfit.
     auto pick = shard_buffers_.end();
     for (auto it = shard_buffers_.begin(); it != shard_buffers_.end(); ++it) {
       if (it->capacity >= n &&
@@ -239,8 +239,8 @@ LabelingEngine::ShardBuffer LabelingEngine::take_shard_buffer(std::size_t n) {
 void LabelingEngine::return_shard_buffer(ShardBuffer buffer) {
   if (buffer.data == nullptr) return;
   std::lock_guard lock(shard_buffers_mutex_);
-  // Two buffers per run (parents + resolver keys), two runs' worth
-  // parked: more would hoard image-sized allocations.
+  // One buffer per run (the parents), a few runs' worth parked: more
+  // would hoard image-sized allocations.
   if (shard_buffers_.size() < 4) {
     shard_buffers_.push_back(std::move(buffer));
   }

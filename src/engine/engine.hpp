@@ -250,13 +250,12 @@ class LabelingEngine {
   /// Pop a client-recycled plane for a sharded run's output, if any.
   [[nodiscard]] LabelImage take_recycled_plane();
 
-  /// Pooled storage for sharded runs' global parent and resolver-key
-  /// arrays. These live at the engine (one buffer spans all workers, so
-  /// per-worker arenas cannot hold them) and are handed out with
-  /// UNSPECIFIED contents — REM initializes p[l] = l as labels are issued
-  /// and the resolver writes every key slot it reads, so the usual
-  /// std::vector value-initialization would be a full serial memset of
-  /// up to 4N bytes per run for nothing.
+  /// Pooled storage for sharded runs' global parent arrays. These live
+  /// at the engine (one buffer spans all workers, so per-worker arenas
+  /// cannot hold them) and are handed out with UNSPECIFIED contents — REM
+  /// initializes p[l] = l as labels are issued, so the usual std::vector
+  /// value-initialization would be a full serial memset of up to 4N bytes
+  /// per run for nothing.
   struct ShardBuffer {
     std::unique_ptr<Label[]> data;
     std::size_t capacity = 0;
@@ -316,7 +315,7 @@ class LabelingEngine {
   std::mutex recycled_mutex_;
   std::vector<LabelImage> recycled_planes_;
 
-  // Parent/key buffers parked between sharded runs (see ShardBuffer).
+  // Parent buffers parked between sharded runs (see ShardBuffer).
   std::mutex shard_buffers_mutex_;
   std::vector<ShardBuffer> shard_buffers_;
   std::vector<ShardCellBuffer> shard_cell_buffers_;

@@ -239,9 +239,9 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
   }
 
   // --- Phase III: FLATTEN + canonical renumber (RunLabelResolver) ----------
-  // resolve job per tile -> rank job per band group -> (stats only)
-  // finalize job per tile + the serial feature fold. Without stats each
-  // rewrite job finalizes its own tile first.
+  // resolve job per tile -> rank job per band group -> (stats only) the
+  // serial finalize + feature fold. Without stats each rewrite job
+  // finalizes its own tile first.
   void resolve() {
     result_.timings.merge_ms = timer_.elapsed_ms() - result_.timings.scan_ms;
     check_qos();  // phase boundary: shed before flatten + rewrite
@@ -268,11 +268,8 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
             counters.runs_extracted += tile.size();
           }
         }
-        const auto key_slots = static_cast<std::size_t>(total_used);
-        keys_ = engine_.take_shard_buffer(key_slots);
         resolver_.emplace(std::span<Label>{parents_.data.get(), parents_size_},
-                          tiles_, runs(), connectivity_,
-                          std::span<Label>{keys_.data.get(), key_slots});
+                          tiles_, runs(), connectivity_);
       } catch (...) {
         fail(std::current_exception());
       }
@@ -305,40 +302,23 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
 
   void run_rank(std::size_t g) {
     if (!failed_.load(std::memory_order_acquire)) {
-      try {
-        obs::Span span("shard.rank", "shard");
-        resolver_->rank_group(g);
-      } catch (...) {
-        fail(std::current_exception());
-      }
-    }
-    finish_phase(1, &ShardedRun::finish_resolve);
-  }
-
-  void finish_resolve() {
-    if (failed_.load(std::memory_order_acquire) || !with_stats()) {
-      start_rewrite();
-      return;
-    }
-    fan_out(tiles_.size(), [](const std::shared_ptr<ShardedRun>& self,
-                              std::size_t t) { self->run_finalize(t); });
-  }
-
-  void run_finalize(std::size_t t) {
-    if (!failed_.load(std::memory_order_acquire)) {
-      obs::Span span("shard.finalize", "shard");
-      resolver_->finalize_tile(t);
+      obs::Span span("shard.rank", "shard");
+      resolver_->rank_group(g);
     }
     finish_phase(1, &ShardedRun::fold_stats);
   }
 
   void fold_stats() {
-    if (!failed_.load(std::memory_order_acquire)) {
+    if (!failed_.load(std::memory_order_acquire) && with_stats()) {
       try {
         obs::Span span("shard.fold", "shard");
         // The seam-merge jobs' unions are resolved in the parent table
-        // now, so this fold merges accumulators exactly where labels
-        // were unified. O(labels issued) — no pixel is revisited.
+        // once every tile is finalized, so this fold merges accumulators
+        // exactly where labels were unified. O(labels issued) — no pixel
+        // is revisited.
+        for (std::size_t t = 0; t < tiles_.size(); ++t) {
+          resolver_->finalize_tile(t);
+        }
         stats_.components.assign(
             static_cast<std::size_t>(result_.num_components), {});
         fold_tile_features({cells_.data.get(), parents_size_},
@@ -401,7 +381,6 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
     // job has drained, and the engine is alive (deliver runs on a worker
     // or on the submitting thread).
     engine_.return_shard_buffer(std::move(parents_));
-    engine_.return_shard_buffer(std::move(keys_));
     engine_.return_shard_cells(std::move(cells_));
     engine_.return_run_buffers(std::move(tile_runs_));
     if (failed_.load(std::memory_order_acquire)) {
@@ -547,7 +526,6 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
   analysis::ComponentStats stats_;       // fused features (outputs.stats)
   LabelingEngine::ShardBuffer parents_;  // global union-find parents
   std::size_t parents_size_ = 0;         // image.size() + 1
-  LabelingEngine::ShardBuffer keys_;     // resolver keys (Phase III)
   LabelingEngine::ShardCellBuffer cells_;  // feature cells (outputs.stats)
   std::vector<TileSpec> tiles_;
   std::vector<RunBuffer> tile_runs_;       // per-tile runs (pooled)

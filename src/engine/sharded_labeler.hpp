@@ -10,8 +10,8 @@
 //              boundary-run seam-merge job per tile (parallel REM,
 //              Algorithm 8)        │ (completion latch)
 //                                  ▼
-//              FLATTEN: resolve job per tile (own labels -> REM roots,
-//              first-visit keys)   │ (latch)
+//              FLATTEN: resolve job per tile (own labels -> REM roots)
+//                                  │ (latch)
 //                                  ▼
 //              canonical renumber: rank job per tile-row band group
 //                                  │ (latch)
@@ -37,12 +37,12 @@
 // CCLREMSP (4-connectivity) for every tile geometry and worker count — the
 // canonical first-appearance renumber of RunLabelResolver (the phase
 // functions resolve_final_run_labels composes serially) restores the
-// sequential numbering that 2-D label bases permute (DESIGN.md §5). The pipeline reads the request's input
-// through its ConstImageView — a strided ROI shards zero-copy exactly like
-// a packed raster — and honors the request's OutputSet and label_out like
-// any other request: stats requests thread per-tile feature cells through
-// the same latch fan-out (DESIGN.md §6); such requests finalize every
-// tile in a fan-out of their own, and one job then reduces the cells.
+// sequential numbering that 2-D label bases permute (DESIGN.md §5). The
+// pipeline reads the request's input through its ConstImageView — a
+// strided ROI shards zero-copy exactly like a packed raster — and honors
+// the request's OutputSet and label_out like any other request: stats requests thread per-tile feature cells through
+// the same latch fan-out (DESIGN.md §6); after the rank jobs one job
+// finalizes every tile and reduces the cells.
 //
 // `ShardOptions` itself lives in core/request.hpp (it is a LabelRequest
 // field); paremsp::engine code keeps naming it engine::ShardOptions.

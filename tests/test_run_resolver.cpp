@@ -60,10 +60,7 @@ LabelingResult label_on_team(const BinaryImage& image, Coord tile_rows,
     });
   });
 
-  Label used = 0;
-  for (const TileSpec& tile : tiles) used += tile.used;
-  std::vector<Label> keys(static_cast<std::size_t>(used));
-  RunLabelResolver resolver(parents, tiles, runs, connectivity, keys);
+  RunLabelResolver resolver(parents, tiles, runs, connectivity);
   run_team(threads, tiles.size(),
            [&](std::size_t t) { resolver.resolve_tile(t); });
   result.num_components = resolver.number_groups();

@@ -299,8 +299,8 @@ TEST(Sharded, RejectsInvalidOptions) {
 
 TEST(Sharded, StatsOnlyRequestSkipsThePlaneAndTheRewrite) {
   // No label destination: the response carries no plane, and the pipeline
-  // fans out scan, merge, resolve, rank and finalize jobs only — the
-  // rewrite phase has nothing to write, so it must not run.
+  // fans out scan, merge, resolve and rank jobs only — the rewrite phase
+  // has nothing to write, so it must not run.
   LabelingEngine eng({.workers = 2});
   const BinaryImage image = gen::landcover_like(64, 96, 21);
   const LabelingResult reference = AremspLabeler().label(image);
@@ -323,12 +323,12 @@ TEST(Sharded, StatsOnlyRequestSkipsThePlaneAndTheRewrite) {
       analysis::compute_stats(reference.labels, reference.num_components),
       "stats-only shard");
   EXPECT_EQ(jobs, tiles /* scan */ + tiles /* merge */ + tiles /* resolve */ +
-                      bands /* rank */ + tiles /* finalize */);
+                      bands /* rank */);
 }
 
 TEST(Sharded, WarmRequestsAllocateNoShardBuffer) {
-  // Parents and resolver keys are parked best-fit between requests: once
-  // one request has run, the next ones find both buffers in the pool.
+  // Parent buffers are parked best-fit between requests: once one request
+  // has run, the next ones find their buffer in the pool.
   LabelingEngine eng({.workers = 2});
   const BinaryImage image = gen::landcover_like(96, 80, 5);
   LabelImage plane(image.rows(), image.cols());

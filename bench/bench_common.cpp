@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <thread>
@@ -9,6 +10,7 @@
 #include "common/env.hpp"
 #include "common/timer.hpp"
 #include "image/generators.hpp"
+#include "image/row_bits.hpp"
 
 namespace paremsp::bench {
 
@@ -29,6 +31,63 @@ std::string artifact_path(const std::string& filename) {
   // otherwise clobber the committed full-size artifact (a 0.25-scale CI
   // pass once overwrote BENCH_rle.json with a 286x286 measurement).
   return "smoke." + filename;
+}
+
+namespace {
+
+/// First line of `command`'s output, or "" when it fails or prints none.
+std::string first_line_of(const std::string& command) {
+  std::FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return "";
+  std::string line;
+  for (int c = std::fgetc(pipe); c != EOF && c != '\n'; c = std::fgetc(pipe)) {
+    line += static_cast<char>(c);
+  }
+  while (std::fgetc(pipe) != EOF) {
+  }
+  return pclose(pipe) == 0 ? line : "";
+}
+
+std::string source_commit() {
+#ifdef PAREMSP_SOURCE_DIR
+  const std::string git = "git -C '" PAREMSP_SOURCE_DIR "' ";
+  const std::string head = first_line_of(git + "rev-parse HEAD 2>/dev/null");
+  if (head.empty()) return "unknown";
+  const std::string changed = first_line_of(
+      git + "status --porcelain --untracked-files=no -- . "
+            "':(exclude)BENCH_*.json' 2>/dev/null");
+  return changed.empty() ? head : head + "-dirty";
+#else
+  return "unknown";
+#endif
+}
+
+std::string compiler_name() {
+#if defined(__clang__)
+  return "clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "gcc " __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
+}  // namespace
+
+void write_json_head(std::FILE* f, const std::string& bench) {
+#ifdef PAREMSP_BUILD_TYPE
+  const char* build_type = PAREMSP_BUILD_TYPE;
+#else
+  const char* build_type = "unknown";
+#endif
+  std::fprintf(f,
+               "{\n  \"bench\": \"%s\",\n"
+               "  \"host\": {\"nproc\": %u, \"simd_tier\": \"%s\", "
+               "\"compiler\": \"%s\", \"build_type\": \"%s\", "
+               "\"commit\": \"%s\"},\n",
+               bench.c_str(), std::thread::hardware_concurrency(),
+               to_string(active_simd_tier()), compiler_name().c_str(),
+               build_type, source_commit().c_str());
 }
 
 double bench_scale() {

@@ -14,6 +14,7 @@
 //                              physical core count are flagged in output)
 #pragma once
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -56,6 +57,13 @@ int bench_max_threads();
 /// from the repo root. Keeps the canonical artifacts at the repo root
 /// no matter which build tree a full-size bench runs from.
 std::string artifact_path(const std::string& filename);
+
+/// Open a trajectory JSON object: writes `{`, the "bench" name and the
+/// "host" block — hardware threads, active SIMD tier, compiler, build
+/// type and source commit ("-dirty" when tracked files other than the
+/// BENCH_*.json artifacts differ from it) — each followed by a comma, so
+/// the caller continues with its own members.
+void write_json_head(std::FILE* f, const std::string& bench);
 
 /// Print the standard header (environment, scale, reps) for a bench binary.
 void print_banner(const std::string& title);

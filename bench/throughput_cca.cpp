@@ -13,6 +13,7 @@
 // Besides the table, writes BENCH_cca.json:
 //
 //   { "bench": "throughput_cca",
+//     "host": {...},  // bench::write_json_head
 //     "image": {"rows": R, "cols": C, "mpx": ..., "components": N},
 //     "runs": [ { "algo": "...", "postpass_mpx_per_s": ...,
 //                 "fused_mpx_per_s": ..., "speedup_fused": ...,
@@ -79,8 +80,8 @@ void write_json(const std::string& path, Coord rows, Coord cols,
     std::cerr << "cannot write " << path << "\n";
     return;
   }
+  write_json_head(f, "throughput_cca");
   std::fprintf(f,
-               "{\n  \"bench\": \"throughput_cca\",\n"
                "  \"image\": {\"rows\": %lld, \"cols\": %lld, "
                "\"mpx\": %.3f, \"components\": %lld},\n  \"runs\": [\n",
                static_cast<long long>(rows), static_cast<long long>(cols),

@@ -103,8 +103,8 @@ void write_api_json(const std::string& path, int jobs, int threads,
     std::cerr << "cannot write " << path << "\n";
     return;
   }
+  write_json_head(f, "throughput_engine_api");
   std::fprintf(f,
-               "{\n  \"bench\": \"throughput_engine_api\",\n"
                "  \"stream\": {\"jobs\": %d, \"side\": %lld, "
                "\"workers\": %d},\n  \"runs\": [\n",
                jobs, static_cast<long long>(kSide), threads);

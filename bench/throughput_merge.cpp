@@ -85,8 +85,8 @@ void write_json(const std::string& path, Coord rows, Coord cols,
     std::cerr << "cannot write " << path << "\n";
     return;
   }
+  write_json_head(f, "throughput_merge");
   std::fprintf(f,
-               "{\n  \"bench\": \"throughput_merge\",\n"
                "  \"algorithm\": \"paremsp2d_rle\",\n"
                "  \"image\": {\"rows\": %lld, \"cols\": %lld, "
                "\"mpx\": %.3f},\n"

@@ -21,6 +21,7 @@
 // Besides the table, writes BENCH_rle.json (repo root via artifact_path):
 //
 //   { "bench": "throughput_rle",
+//     "host": {...},  // bench::write_json_head
 //     "image": {"rows": R, "cols": C, "mpx": ...},
 //     "runs": [ { "pair": "aremsp", "density": 0.05,
 //                 "pixel_mpx_per_s": ..., "rle_mpx_per_s": ...,
@@ -105,8 +106,8 @@ void write_json(const std::string& path, Coord rows, Coord cols,
     std::cerr << "cannot write " << path << "\n";
     return;
   }
+  write_json_head(f, "throughput_rle");
   std::fprintf(f,
-               "{\n  \"bench\": \"throughput_rle\",\n"
                "  \"image\": {\"rows\": %lld, \"cols\": %lld, "
                "\"mpx\": %.3f},\n  \"runs\": [\n",
                static_cast<long long>(rows), static_cast<long long>(cols),

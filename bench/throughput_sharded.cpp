@@ -11,6 +11,7 @@
 // track the sharded path without parsing tables:
 //
 //   { "bench": "throughput_sharded",
+//     "host": {...},  // bench::write_json_head
 //     "image": {"rows": R, "cols": C, "mpx": ...},
 //     "baseline_mpx_per_s": ...,            // single-thread AREMSP
 //     "runs": [ { "algo": "...", "tile_rows": ..., "tile_cols": ...,
@@ -92,8 +93,8 @@ void write_json(const std::string& path, Coord rows, Coord cols,
     return;
   }
   const double mpx = static_cast<double>(rows) * cols / 1e6;
+  write_json_head(f, "throughput_sharded");
   std::fprintf(f,
-               "{\n  \"bench\": \"throughput_sharded\",\n"
                "  \"image\": {\"rows\": %lld, \"cols\": %lld, \"mpx\": %.3f},\n"
                "  \"baseline_mpx_per_s\": %.3f,\n  \"runs\": [\n",
                static_cast<long long>(rows), static_cast<long long>(cols),

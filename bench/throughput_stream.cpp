@@ -13,6 +13,7 @@
 // Besides the human-readable table, writes BENCH_stream.json:
 //
 //   { "bench": "throughput_stream",
+//     "host": {...},  // bench::write_json_head
 //     "image": {"rows": R, "cols": C, "mpx": ...},
 //     "one_shot": {"mpx_per_s": ..., "peak_bytes_model": ...},
 //     "runs": [ { "mode": "core"|"engine", "slab_rows": ..., "slabs": N,
@@ -168,8 +169,8 @@ void write_json(const std::string& path, Coord rows, Coord cols,
     return;
   }
   const double mpx = static_cast<double>(rows) * cols / 1e6;
+  write_json_head(f, "throughput_stream");
   std::fprintf(f,
-               "{\n  \"bench\": \"throughput_stream\",\n"
                "  \"image\": {\"rows\": %lld, \"cols\": %lld, \"mpx\": %.3f},\n"
                "  \"one_shot\": {\"mpx_per_s\": %.3f, "
                "\"peak_bytes_model\": %zu},\n  \"runs\": [\n",

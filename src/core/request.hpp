@@ -68,7 +68,7 @@ struct ShardOptions {
   Coord tile_cols = 512;
   /// Per-tile scan kernel. Selects nothing: every shard runs the
   /// run-based pipeline (core/runs.hpp) — bit-packed row extraction, one
-  /// union per overlapping boundary-run pair at the seams, fill-width
+  /// union per overlapping boundary-run pair at the seams, block-store
   /// rewrite — bit-identical to sequential AREMSP (8-connectivity) and
   /// CCLREMSP (4-connectivity). Kept only because the engine benchmark
   /// (perfbench/src/main.cpp) assigns ShardScan::Runs.

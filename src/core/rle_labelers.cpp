@@ -177,7 +177,7 @@ LabelingResult label_runs_impl(ConstImageView image, Connectivity connectivity,
       phase.reset();
     }
     // Final labeling: each tile finalizes its own labels, then expands
-    // them (fill-width segments). A tile's runs carry only its own
+    // them (block stores). A tile's runs carry only its own
     // labels, and finalize writes only those.
 #pragma omp for schedule(dynamic, 1) nowait
     for (int t = 0; t < ntiles; ++t) {
@@ -203,9 +203,9 @@ LabelingResult label_runs_impl(ConstImageView image, Connectivity connectivity,
 
 /// Full-width row bands for paremsp_rle: about one band per thread,
 /// clamped so every band has at least one row, then rounded UP to even so
-/// every band starts on an even row — the 8-connected scan's pair order
-/// then aligns with the global two-line pairing and the canonical
-/// renumber walk collapses (resolve_final_run_labels).
+/// every band starts on an even row — no two-line row pair straddles a
+/// band start, and every band is its own renumber group
+/// (RunLabelResolver).
 Coord band_rows(Coord rows, int threads) {
   const int n = std::clamp<int>(threads, 1, static_cast<int>(
                                                 std::max<Coord>(rows, 1)));

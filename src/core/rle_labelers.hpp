@@ -18,8 +18,8 @@
 // are emitted by ctz/popcount word scanning, each run records ONE
 // equivalence per overlapping previous-row run pair (union-find traffic
 // scales with run pairs, not pixels), and after FLATTEN + the canonical
-// run renumber the resolved labels expand back to the raster with
-// std::fill-width segments — the output plane is written exactly once,
+// run renumber the resolved labels expand back to the raster in block
+// stores (rewrite_run_labels) — the output plane is written exactly once,
 // where the pixel algorithms write provisional labels and then rewrite.
 //
 // Bit-identity: for 8-connectivity the canonical renumber

@@ -8,6 +8,7 @@ void RunBuffer::extract(ConstImageView image, Coord row_begin, Coord row_end,
   row_begin_ = row_begin;
   row_end_ = row_end;
   runs_.clear();
+  issued_.clear();
   const std::size_t nrows =
       row_end > row_begin ? static_cast<std::size_t>(row_end - row_begin) : 0;
   if (offsets_.size() < nrows + 1) offsets_.resize(nrows + 1);

@@ -13,8 +13,9 @@
 //             additional overlapping run pair through the same
 //             equiv_policies the pixel kernels use (RemEquiv & friends) —
 //             union-find traffic scales with run pairs, not pixels;
-//   rewrite   after FLATTEN, resolved labels expand back to the raster as
-//             std::fill-width row segments (core/tiled_phases.hpp).
+//   rewrite   after FLATTEN, resolved labels expand back to the raster,
+//             each row gap then run in 16-label block stores
+//             (rewrite_run_labels, core/tiled_phases.hpp).
 //
 // The overlap window is the only place connectivity enters: 8-connectivity
 // widens the previous-row window by one column on each side (diagonal
@@ -36,9 +37,10 @@
 // scan in row-major run order, so under REM every component's root is its
 // first run in the SAME order the canonical renumber walks
 // (resolve_final_run_labels) — which is what lets the rle labelers stay
-// bit-identical to sequential AREMSP, and lets pair-aligned full-width
-// tile bands skip the renumber walk entirely (the flatten already
-// numbers components canonically).
+// bit-identical to sequential AREMSP. Pairs are anchored at view row 0
+// and every scan logs its issue count per visit step
+// (RunBuffer::issued), so the renumber finds first appearances by
+// walking issued labels instead of runs.
 #pragma once
 
 #include <bit>
@@ -106,9 +108,21 @@ class RunBuffer {
   [[nodiscard]] Coord row_end() const noexcept { return row_end_; }
   [[nodiscard]] std::size_t size() const noexcept { return runs_.size(); }
 
+  /// Issue log of the last scan_runs over this buffer: entry i is the
+  /// number of labels the scan had issued after its visit step i (a
+  /// two-line row pair for 8-connectivity, a row for 4-connectivity), so
+  /// step i issued the labels base + (i ? issued[i-1] : 0) + 1 ..
+  /// base + issued[i], in visit order. extract() clears it.
+  [[nodiscard]] std::span<const Label> issued() const noexcept {
+    return issued_;
+  }
+  /// Close a visit step after `count` labels issued in total (scan_runs).
+  void end_step(Label count) { issued_.push_back(count); }
+
  private:
   std::vector<Run> runs_;
   std::vector<std::size_t> offsets_;  // size (row_end - row_begin) + 1
+  std::vector<Label> issued_;         // one entry per visit step
   Coord row_begin_ = 0;
   Coord row_end_ = 0;
   RowBits bits_;  // encoder scratch, pooled with the buffer
@@ -153,9 +167,8 @@ void merge_row_runs(std::span<Run> cur, std::span<const Run> prev,
 /// by the previous pair); the lower row is two rows away from it and
 /// never adjacent. Issuing labels in this order makes every fresh-label
 /// event coincide with a component's two-line first appearance, so the
-/// canonical renumber in resolve_final_run_labels collapses to the
-/// identity for pair-aligned full-width tile bands — the single-tile /
-/// row-band fast path skips the walk entirely.
+/// canonical renumber (RunLabelResolver) walks the issued labels, not
+/// the runs.
 ///
 /// Within the pair, the LATER-visited run of an adjacent (upper, lower)
 /// pair records the equivalence, and at most one earlier-visited run of
@@ -253,12 +266,17 @@ void unite_overlapping_runs(std::span<const Run> cur,
 /// previous row. The window-1 (8-connected) scan merges in TWO-LINE ROW
 /// PAIRS so labels are issued in the sequential visit order
 /// (merge_row_pair_runs); window 0 keeps the row-major walk, whose
-/// issuance is already raster-canonical. Rows outside the rectangle count
-/// as background (chunking/tiling contract of the pixel kernels); the
-/// suppressed cross-boundary adjacencies are restored by the run seam
-/// merges. `threshold` >= 0 scans a grayscale image through the fused
-/// pixel > threshold encoder (see RunBuffer::extract). Returns the number
-/// of provisional labels issued through `eq`.
+/// issuance is already raster-canonical. Pairs are anchored at view row
+/// 0 — (0,1),(2,3),… — so a rectangle starting on an odd row scans that
+/// row alone, as the lower row of the pair above it; the scan's visit
+/// order is then the view's two-line visit order restricted to the
+/// rectangle. Each visit step's label count lands in runs.issued().
+/// Rows outside the rectangle count as background (chunking/tiling
+/// contract of the pixel kernels); the suppressed cross-boundary
+/// adjacencies are restored by the run seam merges. `threshold` >= 0
+/// scans a grayscale image through the fused pixel > threshold encoder
+/// (see RunBuffer::extract). Returns the number of provisional labels
+/// issued through `eq`.
 template <class Equiv, class FeatureSink>
 Label scan_runs(ConstImageView image, RunBuffer& runs, Equiv& eq,
                 FeatureSink& sink, Coord window, Coord row_begin,
@@ -267,11 +285,20 @@ Label scan_runs(ConstImageView image, RunBuffer& runs, Equiv& eq,
   runs.extract(image, row_begin, row_end, col_begin, col_end, threshold);
   std::span<const Run> prev{};
   if (window == 1) {
-    for (Coord r = row_begin; r < row_end; r += 2) {
+    Coord r = row_begin;
+    if (r % 2 != 0 && r < row_end) {
+      const std::span<Run> lower = runs.row(r);
+      merge_row_pair_runs({}, lower, {}, eq, sink);
+      runs.end_step(eq.used());
+      prev = lower;
+      ++r;
+    }
+    for (; r < row_end; r += 2) {
       const std::span<Run> upper = runs.row(r);
       const std::span<Run> lower =
           r + 1 < row_end ? runs.row(r + 1) : std::span<Run>{};
       merge_row_pair_runs(upper, lower, prev, eq, sink);
+      runs.end_step(eq.used());
       prev = lower;  // the next pair's row above (unused after the last)
     }
     return eq.used();
@@ -279,6 +306,7 @@ Label scan_runs(ConstImageView image, RunBuffer& runs, Equiv& eq,
   for (Coord r = row_begin; r < row_end; ++r) {
     const std::span<Run> cur = runs.row(r);
     merge_row_runs(cur, prev, window, eq, sink);
+    runs.end_step(eq.used());
     prev = cur;
   }
   return eq.used();

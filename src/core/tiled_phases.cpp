@@ -1,6 +1,7 @@
 #include "core/tiled_phases.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/contracts.hpp"
 #include "core/equiv_policies.hpp"
@@ -114,15 +115,11 @@ RunLabelResolver::RunLabelResolver(std::span<Label> parents,
   if (tiles.empty()) return;
   const auto cols = static_cast<std::size_t>(grid_.grid_cols);
   const bool eight = connectivity == Connectivity::Eight;
-  bool pair_aligned = true;
   for (std::size_t t = cols; t < tiles.size(); t += cols) {
-    const bool even = tiles[t].row_begin % 2 == 0;
-    pair_aligned = pair_aligned && even;
-    if (!eight || even) group_tiles_.push_back(t);
+    if (!eight || tiles[t].row_begin % 2 == 0) group_tiles_.push_back(t);
   }
   group_tiles_.push_back(tiles.size());
   group_start_.assign(groups() + 1, 0);
-  walk_ = !(grid_.grid_cols == 1 && (!eight || pair_aligned));
 }
 
 void RunLabelResolver::resolve_tile(std::size_t t) {
@@ -173,55 +170,52 @@ void RunLabelResolver::rank_group(std::size_t g) {
   Label* const parents = parents_.data();
   // Number the group's roots in canonical order, stored as -(final label)
   // so that a numbered root reads apart from an unnumbered one (p[l] == l).
+  // A root in an earlier group (<= group_base) was numbered there; its
+  // entry is not ours to read. A visited label takes its root's -number.
   Label next = group_start_[g];
   const Label last = group_start_[g + 1];
-  if (!walk_) {
-    // Label order is canonical: number roots as they come.
-    for (std::size_t t = t0; t < t1; ++t) {
-      const TileSpec& tile = tiles_[t];
-      for (Label l = tile.base + 1; l <= tile.base + tile.used; ++l) {
-        if (parents[l] == l) parents[l] = -++next;
+  const auto visit = [&](Label l) {
+    Label& entry = parents[l];
+    const Label root = entry;
+    if (root <= group_base) return;  // numbered (< 0) or an earlier group
+    Label& root_entry = parents[root];
+    if (root_entry > 0) root_entry = -++next;
+    entry = root_entry;
+  };
+  // Every component's first visit issued one of its labels, and within a
+  // visit step a tile issues its labels in visit order; tile columns
+  // partition the columns. So walking each step's issue range across the
+  // tile columns meets the components in first-visit order.
+  const auto cols = static_cast<std::size_t>(grid_.grid_cols);
+  const bool eight = connectivity_ == Connectivity::Eight;
+  const Coord rows = tiles_.back().row_end;
+  for (std::size_t b = t0; b < t1 && next < last; b += cols) {
+    const Coord r0 = tiles_[b].row_begin;
+    const Coord r1 = tiles_[b].row_end;
+    std::size_t step = 0;
+    if (eight && r0 % 2 != 0) {
+      // The pair (r0 - 1, r0) straddles this band's upper edge: the band
+      // above issued its upper row, this band its lower row, so only the
+      // merged run streams give the pair's visit order.
+      for (std::size_t tc = 0; tc < cols; ++tc) {
+        visit_row_pair(tile_runs_[b - cols + tc].row(r0 - 1),
+                       tile_runs_[b + tc].row(r0),
+                       [&](const Run& run) { visit(run.label); });
       }
+      step = 1;
     }
-  } else {
-    // First appearance over the group's rows. A root in an earlier group
-    // (<= group_base) was numbered there; its entry is not ours to read.
-    // A visited label takes its root's -number too, so its later runs
-    // skip the root lookup.
-    const auto visit = [&](const Run& run) {
-      Label& entry = parents[run.label];
-      const Label root = entry;
-      if (root <= group_base) return;  // numbered (< 0) or an earlier group
-      Label& root_entry = parents[root];
-      if (root_entry > 0) root_entry = -++next;
-      entry = root_entry;
-    };
-    // Tiles partition the columns, so an image row's runs are the tile
-    // columns' runs in order, and so are a row pair's merged streams.
-    const auto cols = static_cast<std::size_t>(grid_.grid_cols);
-    const auto row_runs = [&](Coord r, std::size_t tc) {
-      const std::size_t band = static_cast<std::size_t>(r / grid_.tile_rows);
-      return tile_runs_[band * cols + tc].row(r);
-    };
-    const Coord r0 = tiles_[t0].row_begin;
-    const Coord r1 = tiles_[t1 - 1].row_end;
-    if (connectivity_ == Connectivity::Eight) {
-      // Two-line visit order: a component's first two-line-visited pixel
-      // is always one of its runs' col_begin (an earlier pixel of the same
-      // run would contradict minimality). The group starts on an even
-      // row, so its pairs are the global pairs.
-      for (Coord r = r0; r < r1 && next < last; r += 2) {
-        for (std::size_t tc = 0; tc < cols; ++tc) {
-          visit_row_pair(row_runs(r, tc),
-                         r + 1 < r1 ? row_runs(r + 1, tc)
-                                    : std::span<const Run>{},
-                         visit);
-        }
-      }
-    } else {
-      for (Coord r = r0; r < r1 && next < last; ++r) {
-        for (std::size_t tc = 0; tc < cols; ++tc) {
-          for (const Run& run : row_runs(r, tc)) visit(run);
+    // A band ending on an odd row leaves its last row to the next band's
+    // straddled pair.
+    const std::size_t steps = tile_runs_[b].issued().size() -
+                              (eight && r1 < rows && r1 % 2 != 0 ? 1 : 0);
+    for (; step < steps && next < last; ++step) {
+      for (std::size_t tc = 0; tc < cols; ++tc) {
+        const TileSpec& tile = tiles_[b + tc];
+        const std::span<const Label> issued = tile_runs_[b + tc].issued();
+        const Label hi = tile.base + issued[step];
+        for (Label l = tile.base + (step > 0 ? issued[step - 1] : 0) + 1;
+             l <= hi; ++l) {
+          visit(l);
         }
       }
     }
@@ -267,18 +261,43 @@ Label resolve_final_run_labels(std::span<Label> parents,
   return k;
 }
 
+namespace {
+
+/// Labels per block store of the rewrite: 64 bytes, one cache line.
+constexpr Coord kRewriteBlock = 16;
+
+/// Write block[0] over [begin, end) of `row` in whole blocks, which may
+/// run up to kRewriteBlock - 1 labels past `end` but never past `limit`:
+/// a block that would cross `limit` becomes an exact fill of the rest.
+void store_blocks(Label* row, Coord begin, Coord end, Coord limit,
+                  const Label (&block)[kRewriteBlock]) {
+  Coord c = begin;
+  for (; c < end && c + kRewriteBlock <= limit; c += kRewriteBlock) {
+    std::memcpy(row + c, block, sizeof(block));
+  }
+  if (c < end) std::fill(row + c, row + end, block[0]);
+}
+
+}  // namespace
+
 void rewrite_run_labels(const RunBuffer& runs, std::span<const Label> parents,
                         const TileSpec& tile, MutableImageView out) {
+  static constexpr Label kZeros[kRewriteBlock] = {};
+  Label block[kRewriteBlock];
   for (Coord r = tile.row_begin; r < tile.row_end; ++r) {
     Label* dst = out.row(r);
-    // Background first in one streaming fill, then the foreground
-    // segments: half the fill calls of gap-by-gap interleaving, and the
-    // long memset-style zero fill vectorizes regardless of run lengths.
-    std::fill(dst + tile.col_begin, dst + tile.col_end, Label{0});
+    // One pass left to right, gap then run. A segment's overshoot lands
+    // where the next segment starts and is overwritten by it; the row's
+    // last segment ends at col_end, where every store is exact.
+    Coord c = tile.col_begin;
     for (const Run& run : runs.row(r)) {
-      std::fill(dst + run.col_begin, dst + run.col_end,
-                parents[static_cast<std::size_t>(run.label)]);
+      store_blocks(dst, c, run.col_begin, tile.col_end, kZeros);
+      std::fill_n(block, kRewriteBlock,
+                  parents[static_cast<std::size_t>(run.label)]);
+      store_blocks(dst, run.col_begin, run.col_end, tile.col_end, block);
+      c = run.col_end;
     }
+    store_blocks(dst, c, tile.col_end, tile.col_end, kZeros);
   }
 }
 

@@ -28,8 +28,8 @@
 //                                 resolve_final_run_labels is their
 //                                 single-threaded composition;
 //   5. rewrite_run_labels       — expand the resolved run labels into the
-//                                 output plane, the only pass that writes
-//                                 it.
+//                                 output plane in block stores, the only
+//                                 pass that writes it.
 //
 // Three executors compose these pieces: the rle labelers (in-process
 // OpenMP, core/rle_labelers.cpp), the engine's sharded huge-image path
@@ -47,8 +47,10 @@
 // in that visit order. A 2-D grid's bases are prefix sums in tile order
 // instead, so numbering roots by label would permute the components —
 // numbering them by their first-visit position in the sequential visit
-// order restores exactly the sequential numbering, and each group of
-// tile-row bands can walk its own rows for it (RunLabelResolver).
+// order restores exactly the sequential numbering. Each first visit is a
+// new-label event in its tile too, so each group of tile-row bands finds
+// them by walking the labels its tiles issued, step by step
+// (RunLabelResolver).
 #pragma once
 
 #include <algorithm>
@@ -110,9 +112,10 @@ struct TileGridShape {
 /// `parents`. Pixels outside the tile's rectangle read as background; the
 /// suppressed cross-seam adjacencies are restored by merge_run_seams.
 /// Nothing is written to any label plane — the runs CARRY the labels
-/// until rewrite_run_labels expands them. Both connectivities route
-/// through the one kernel (the overlap window is the only difference).
-/// Returns the number of labels issued (the caller stores it in
+/// until rewrite_run_labels expands them, and the buffer's issue log
+/// (RunBuffer::issued) records the labels issued per visit step for the
+/// renumber. Both connectivities route through the one kernel (the
+/// overlap window is the only difference). Returns the number of labels issued (the caller stores it in
 /// tile.used). Thread-safe across distinct tiles: a tile scan writes only
 /// its own label range and its own run buffer. `joins` is an optional
 /// accumulator (see RemEquiv) — pass a per-tile slot to fill
@@ -213,14 +216,12 @@ void merge_run_seams(std::span<const TileSpec> tiles,
 
 /// Phase III, split for fan-out: FLATTEN every tile's used label range
 /// and renumber components into the canonical order of the matching
-/// sequential pixel algorithms, walking the RUNS (the label plane holds
-/// no provisional labels):
+/// sequential pixel algorithms (the label plane holds no provisional
+/// labels):
 ///
 ///   8-connectivity  first appearance in the sequential TWO-LINE visit
 ///                   order — row pairs (0,1),(2,3),…, column by column,
-///                   upper before lower. A component's first-visited
-///                   pixel is the (col_begin, parity)-minimal run start
-///                   among its runs in its earliest pair.
+///                   upper before lower.
 ///   4-connectivity  first appearance in raster order (the numbering of
 ///                   the one-line-scan algorithms and the flood-fill
 ///                   oracle).
@@ -234,7 +235,7 @@ void merge_run_seams(std::span<const TileSpec> tiles,
 ///                     tiles compress.
 ///   number_groups()   serial, O(tiles): exclusive prefix of the per-group
 ///                     root counts; returns k.
-///   rank_group(g)     walk group g's rows in the canonical order and
+///   rank_group(g)     walk group g's labels in issue order (below) and
 ///                     number the roots that lie in the group on first
 ///                     appearance, after the group's prefix; then give
 ///                     every label of the group whose root is in the
@@ -244,6 +245,20 @@ void merge_run_seams(std::span<const TileSpec> tiles,
 ///                     earlier group) its root's final label. Concurrent
 ///                     across tiles, and with rewrite_run_labels of OTHER
 ///                     tiles.
+///
+/// Why issue order finds first appearances: scan_runs anchors its pairs
+/// at image row 0 and logs the labels issued per visit step (a row pair,
+/// or a row for 4-connectivity) in RunBuffer::issued(), so a tile's scan
+/// visits its runs in the global visit order restricted to the tile. A
+/// component's first-visited run therefore has no earlier-visited
+/// neighbor inside its tile either, and issues a fresh label; within a
+/// step a tile's labels come in visit order, and tile columns partition
+/// the columns. rank_group walks, step by step and tile column by tile
+/// column, the labels each tile issued — O(labels), no run is read — and
+/// meets every component first at its first visit. The one exception is
+/// a pair straddling an odd band start (8-connectivity with odd tile
+/// rows): the band above issued its upper row and the band below its
+/// lower row, so that pair's two run streams are merged and walked.
 ///
 /// A group is a run of whole tile-row bands. A component's root lies in
 /// the earliest row-major tile that contains it, so its band is the first
@@ -255,14 +270,9 @@ void merge_run_seams(std::span<const TileSpec> tiles,
 /// appearances precede the next group's, and numbering each group after a
 /// prefix of the group counts gives the global numbering.
 ///
-/// Full-width bands whose rows start even (8-connectivity), and any
-/// full-width bands under 4-connectivity, are already canonical: the scan
-/// issues labels in exactly the target order (merge_row_pair_runs), so
-/// numbering roots by increasing label IS the canonical numbering and the
-/// walk is skipped.
-///
-/// The resolver borrows every span; they must outlive it. Only the
-/// constructor allocates (O(tiles)); the sub-phases never throw.
+/// The resolver borrows every span; they must outlive it, and each run
+/// buffer must hold its tile's scan_tile output. Only the constructor
+/// allocates (O(tiles)); the sub-phases never throw.
 class RunLabelResolver {
  public:
   RunLabelResolver(std::span<Label> parents, std::span<const TileSpec> tiles,
@@ -284,7 +294,6 @@ class RunLabelResolver {
   std::span<const RunBuffer> tile_runs_;
   Connectivity connectivity_;
   TileGridShape grid_;
-  bool walk_ = false;                // false: label order is canonical
   std::vector<Label> tile_roots_;    // per tile: components rooted there
   std::vector<std::size_t> group_tiles_;  // group g: tiles [at g, at g+1)
   std::vector<Label> group_start_;   // per group: labels before its first
@@ -301,10 +310,14 @@ class RunLabelResolver {
     Coord rows, std::span<Label> remap);
 
 /// Final labeling for one tile: expand each resolved run label into its
-/// row segment with std::fill, zero-filling the gaps — the only pass that
-/// writes the output raster. `out` may be
-/// strided (a caller's label_out ROI writes zero-copy). Thread-safe
-/// across distinct tiles (disjoint rectangles).
+/// row segment — the only pass that writes the output raster. Each row is
+/// written left to right in one pass, gap (zeros) then run, every segment
+/// in whole 16-label block stores: a block may run past its segment, and
+/// the next segment, which starts exactly there, overwrites it. A block
+/// that would cross the tile's col_end becomes an exact fill, so nothing
+/// outside the tile's rectangle is written. `out` may be strided (a
+/// caller's label_out ROI writes zero-copy). Thread-safe across distinct
+/// tiles (disjoint rectangles).
 void rewrite_run_labels(const RunBuffer& runs, std::span<const Label> parents,
                         const TileSpec& tile, MutableImageView out);
 

@@ -332,7 +332,7 @@ class ShardedRun : public std::enable_shared_from_this<ShardedRun> {
   }
 
   // --- Phase IV: parallel rewrite --------------------------------------------
-  // Expand the resolved run labels per tile (fill-width segments): the
+  // Expand the resolved run labels per tile (block stores): the
   // owned plane or the caller's label_out is written here for the first
   // and only time.
   void start_rewrite() {

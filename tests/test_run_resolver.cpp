@@ -78,8 +78,10 @@ struct Geometry {
   Coord rows, cols, tile_rows, tile_cols;
 };
 
-// Odd tile_rows misalign tiles with the two-line row pairs; single-column
-// grids take the label-order fast path only when every band starts even.
+// Odd tile_rows misalign tiles with the two-line row pairs, so their
+// 8-connected rank walks the runs of the pairs straddling odd band
+// starts. Tile widths 16, 17 and 33 put several block-store rewrites next
+// to each other at every seam.
 constexpr Geometry kGeometries[] = {
     {"odd tile rows", 41, 53, 5, 8},
     {"odd tile rows, odd cols", 37, 29, 3, 7},
@@ -89,6 +91,12 @@ constexpr Geometry kGeometries[] = {
     {"single tile", 30, 45, 64, 64},
     {"tall", 211, 6, 9, 4},
     {"wide", 5, 230, 2, 17},
+    {"16-wide tiles, even rows", 36, 70, 6, 16},
+    {"16-wide tiles, odd rows", 33, 52, 3, 16},
+    {"17-wide tiles, even rows", 28, 61, 4, 17},
+    {"17-wide tiles, odd rows", 35, 75, 5, 17},
+    {"33-wide tiles, even rows", 30, 104, 8, 33},
+    {"33-wide tiles, odd rows", 41, 110, 7, 33},
 };
 
 std::vector<std::pair<std::string, BinaryImage>> images(Coord rows,

@@ -18,11 +18,13 @@
 #include "analysis/validation.hpp"
 #include "core/aremsp.hpp"
 #include "core/cclremsp.hpp"
+#include "core/equiv_policies.hpp"
 #include "core/label_scratch.hpp"
 #include "core/paremsp.hpp"
 #include "core/registry.hpp"
 #include "core/rle_labelers.hpp"
 #include "core/runs.hpp"
+#include "core/scan_two_line.hpp"
 #include "engine/engine.hpp"
 #include "fixtures.hpp"
 #include "image/generators.hpp"
@@ -544,6 +546,88 @@ TEST(Runs, ThresholdRequestWithStatsMatchesBinarizedOracle) {
   ASSERT_TRUE(got.stats.has_value());
   testing::expect_stats_identical(*got.stats, want.stats,
                                   "fused threshold stats");
+}
+
+// --- Issue log: labels issued per visit step --------------------------------
+
+/// Records the row of every fresh-label event (fresh() precedes the
+/// issuing run's add_run()).
+struct FreshRowSink {
+  std::vector<Coord> rows;
+  bool pending = false;
+  void fresh(Label) noexcept { pending = true; }
+  void add_run(Label, Coord row, Coord, Coord) {
+    if (pending) rows.push_back(row);
+    pending = false;
+  }
+};
+
+TEST(Runs, IssueLogCountsFreshLabelsPerVisitStep) {
+  // Steps are row pairs anchored at row 0 for 8-connectivity and rows for
+  // 4-connectivity; the log must hold the running fresh-label count after
+  // each step, for windows starting on even and odd rows, over images
+  // with empty rows.
+  BinaryImage image = gen::uniform_noise(23, 37, 0.45, 17);
+  for (const Coord empty : {0, 5, 6, 7, 14, 22}) {
+    for (Coord c = 0; c < image.cols(); ++c) image(empty, c) = 0;
+  }
+  for (const Connectivity connectivity :
+       {Connectivity::Eight, Connectivity::Four}) {
+    const bool eight = connectivity == Connectivity::Eight;
+    for (const auto& [r0, r1] : std::vector<std::pair<Coord, Coord>>{
+             {0, 23}, {1, 23}, {2, 9}, {3, 4}, {5, 8}, {7, 22}, {4, 5}}) {
+      for (const auto& [c0, c1] :
+           std::vector<std::pair<Coord, Coord>>{{0, 37}, {3, 20}}) {
+        SCOPED_TRACE(std::string(eight ? "8" : "4") + "-conn rows " +
+                     std::to_string(r0) + ".." + std::to_string(r1) +
+                     " cols " + std::to_string(c0) + ".." +
+                     std::to_string(c1));
+        std::vector<Label> parents(static_cast<std::size_t>(image.size()) + 1);
+        RemEquiv eq(parents, 100);
+        FreshRowSink sink;
+        RunBuffer runs;
+        const Label used =
+            scan_runs(image, runs, eq, sink, run_overlap_window(connectivity),
+                      r0, r1, c0, c1);
+        const auto step_of = [&](Coord r) {
+          return static_cast<std::size_t>(eight ? r / 2 - r0 / 2 : r - r0);
+        };
+        std::vector<Label> want(step_of(r1 - 1) + 1, 0);
+        for (const Coord r : sink.rows) ++want[step_of(r)];
+        for (std::size_t i = 1; i < want.size(); ++i) want[i] += want[i - 1];
+        EXPECT_EQ(std::vector<Label>(runs.issued().begin(),
+                                     runs.issued().end()),
+                  want);
+        EXPECT_EQ(runs.issued().back(), used);
+        if (eight && r0 % 2 != 0) {
+          // The first row is scanned alone: each of its runs is fresh.
+          EXPECT_EQ(runs.issued()[0],
+                    static_cast<Label>(runs.row(r0).size()));
+        }
+      }
+    }
+  }
+}
+
+TEST(Runs, OddStartWindowScansItsFirstRowAlone) {
+  // A window starting on odd row 1 is anchored at row 0: row 1 is the
+  // lower row of pair (0,1) and row 2 opens pair (2,3), so rows 1..2 are
+  // two steps, not the pair (1,2). Row 1 holds one run at columns 4..5
+  // and row 2 one run at 0..4, touching it: row 1's run, scanned alone,
+  // issues the label and row 2's run copies it. As the pair (1,2), row 2's
+  // run (col_begin 0) would come first and issue it.
+  BinaryImage image(4, 8, 0);
+  for (Coord c = 4; c < 6; ++c) image(1, c) = 1;
+  for (Coord c = 0; c < 5; ++c) image(2, c) = 1;
+  std::vector<Label> parents(static_cast<std::size_t>(image.size()) + 1);
+  RemEquiv eq(parents);
+  FreshRowSink sink;
+  RunBuffer runs;
+  EXPECT_EQ(scan_runs(image, runs, eq, sink, 1, 1, 3, 0, 8), 1);
+  EXPECT_EQ(std::vector<Label>(runs.issued().begin(), runs.issued().end()),
+            (std::vector<Label>{1, 1}));
+  EXPECT_EQ(sink.rows, std::vector<Coord>{1});
+  EXPECT_EQ(runs.row(2)[0].label, 1);
 }
 
 // --- Sharded engine: the run-based tile pipeline -----------------------------

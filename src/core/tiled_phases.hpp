@@ -115,9 +115,10 @@ struct TileGridShape {
 /// until rewrite_run_labels expands them, and the buffer's issue log
 /// (RunBuffer::issued) records the labels issued per visit step for the
 /// renumber. Both connectivities route through the one kernel (the
-/// overlap window is the only difference). Returns the number of labels issued (the caller stores it in
-/// tile.used). Thread-safe across distinct tiles: a tile scan writes only
-/// its own label range and its own run buffer. `joins` is an optional
+/// overlap window is the only difference). Returns the number of labels
+/// issued (the caller stores it in tile.used). Thread-safe across
+/// distinct tiles: a tile scan writes only its own label range and its
+/// own run buffer. `joins` is an optional
 /// accumulator (see RemEquiv) — pass a per-tile slot to fill
 /// PhaseCounters::scan_unions race-free. `threshold` >= 0 scans a
 /// GRAYSCALE image through the fused pixel > threshold encoder

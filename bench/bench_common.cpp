@@ -9,6 +9,7 @@
 
 #include "common/env.hpp"
 #include "common/timer.hpp"
+#include "core/request.hpp"
 #include "image/generators.hpp"
 #include "image/row_bits.hpp"
 
@@ -204,10 +205,12 @@ BinaryImage make_nlcd_image(const NlcdRung& rung) {
 
 double time_labeler_ms(const Labeler& labeler, const BinaryImage& image,
                        int reps) {
+  LabelRequest request;
+  request.input = image;
   double best = 0.0;
   for (int i = 0; i < reps; ++i) {
     WallTimer t;
-    const auto result = labeler.label(image);
+    const auto result = labeler.run(request);
     const double ms = t.elapsed_ms();
     (void)result;
     if (i == 0 || ms < best) best = ms;
@@ -217,9 +220,11 @@ double time_labeler_ms(const Labeler& labeler, const BinaryImage& image,
 
 PhaseTimings time_labeler_phases(const Labeler& labeler,
                                  const BinaryImage& image, int reps) {
+  LabelRequest request;
+  request.input = image;
   PhaseTimings best;
   for (int i = 0; i < reps; ++i) {
-    const auto result = labeler.label(image);
+    const auto result = labeler.run(request);
     if (i == 0 || result.timings.total_ms < best.total_ms) {
       best = result.timings;
     }

@@ -117,8 +117,10 @@ void BM_LabelerThroughput(benchmark::State& state) {
   const Coord side = 1024;
   const BinaryImage image = gen::landcover_like(side, side, 11, 3);
   const auto labeler = make_labeler(info.id);
+  LabelRequest request;
+  request.input = image;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(labeler->label(image));
+    benchmark::DoNotOptimize(labeler->run(request));
   }
   state.SetItemsProcessed(state.iterations() * image.size());
   state.SetLabel(std::string(info.name));

@@ -8,8 +8,23 @@
 //     counts (the paper observes the same: "thread creation and
 //     termination overhead will affect the performance");
 //   * the large NLCD family keeps benefiting the longest.
+//
+// Besides the tables, writes BENCH_table4.json:
+//
+//   { "bench": "table4_paremsp_threads",
+//     "host": {...},  // bench::write_json_head
+//     "scale": S, "reps": K, "omp_wait_policy": "passive" | "unset" | ...,
+//     "runs": [ { "family": "...", "images": N, "mpx": ..., "threads": T,
+//                 "min_ms": ..., "mean_ms": ..., "max_ms": ... }, ... ] }
+//
+// Each image's time is its best of K reps (time_labeler_ms), so with
+// K >= 2 a one-off OpenMP start-up stall does not set the figure.
+#include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "common/table.hpp"
@@ -40,6 +55,43 @@ constexpr PaperRow kPaperTable4[] = {
     {"NLCD", "Max", 676.41, 184.71, 78.33, 51.00},
 };
 
+/// One family at one thread count, for BENCH_table4.json.
+struct Table4Record {
+  std::string family;
+  std::size_t images = 0;
+  double mpx = 0.0;
+  int threads = 0;
+  Summary ms;
+};
+
+void write_json(const std::string& path, int reps,
+                const std::vector<Table4Record>& runs) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::cerr << "cannot write " << path << "\n";
+    return;
+  }
+  const char* wait_policy = std::getenv("OMP_WAIT_POLICY");
+  write_json_head(f, "table4_paremsp_threads");
+  std::fprintf(f,
+               "  \"scale\": %.3f, \"reps\": %d, \"omp_wait_policy\": "
+               "\"%s\",\n  \"runs\": [\n",
+               bench_scale(), reps,
+               wait_policy != nullptr ? wait_policy : "unset");
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const Table4Record& r = runs[i];
+    std::fprintf(f,
+                 "    {\"family\": \"%s\", \"images\": %zu, "
+                 "\"mpx\": %.3f, \"threads\": %d, \"min_ms\": %.3f, "
+                 "\"mean_ms\": %.3f, \"max_ms\": %.3f}%s\n",
+                 r.family.c_str(), r.images, r.mpx, r.threads, r.ms.min,
+                 r.ms.mean, r.ms.max, i + 1 < runs.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]\n}\n");
+  std::fclose(f);
+  std::cout << "wrote " << path << "\n";
+}
+
 }  // namespace
 
 int main() {
@@ -55,11 +107,18 @@ int main() {
   TextTable measured("Measured execution time [msec] of PAREMSP");
   measured.set_header(header);
 
+  std::vector<Table4Record> records;
   for (const auto& family : all_families()) {
+    double mpx = 0.0;
+    for (const auto& img : family.images) {
+      mpx += static_cast<double>(img.image.size()) / 1e6;
+    }
     std::map<int, Summary> by_threads;
     for (const int t : threads) {
       const ParemspLabeler labeler(ParemspConfig{t});
       by_threads[t] = family_summary(labeler, family.images, reps);
+      records.push_back(Table4Record{family.name, family.images.size(), mpx,
+                                     t, by_threads[t]});
     }
     const auto row = [&](const char* stat, auto pick) {
       std::vector<std::string> cells{family.name, stat};
@@ -89,6 +148,7 @@ int main() {
                    TextTable::num(row.t6), TextTable::num(row.t16),
                    TextTable::num(row.t24)});
   }
-  std::cout << paper.to_string();
+  std::cout << paper.to_string() << "\n";
+  write_json(artifact_path("BENCH_table4.json"), reps, records);
   return 0;
 }

@@ -38,6 +38,7 @@
 #include "core/aremsp.hpp"
 #include "core/label_scratch.hpp"
 #include "core/paremsp.hpp"
+#include "core/request.hpp"
 #include "core/rle_labelers.hpp"
 #include "image/generators.hpp"
 #include "unionfind/lock_pool.hpp"
@@ -138,7 +139,9 @@ int main() {
   for (const double density : {0.05, 0.5, 0.9}) {
     const BinaryImage image = gen::uniform_noise(
         side, side, density, static_cast<std::uint64_t>(density * 1000) + 3);
-    const LabelingResult want = AremspLabeler().label(image);
+    LabelRequest request;
+    request.input = image;
+    const LabelResponse want = AremspLabeler().run(request);
     LabelScratch scratch;
 
     TextTable table("merge phase [ms] at density " +
@@ -163,7 +166,7 @@ int main() {
                       .lock_bits = config.lock_bits});
         // Bit-identity gate before any timing: every backend must
         // reproduce sequential AREMSP exactly (DESIGN.md §11).
-        const LabelingResult got = labeler.label_into(image, scratch);
+        const LabelResponse got = labeler.run(request, scratch);
         if (got.num_components != want.num_components ||
             got.labels != want.labels) {
           std::cerr << "MISMATCH: " << config.name << " at density "

@@ -4,10 +4,10 @@
 // paremsp_rle against the paper's PAREMSP. The 2-D tiled and sharded
 // pipelines are run-based only, so they have no pixel twin to race.
 //
-// Both sides of every pair run label_into on one warm LabelScratch
-// (best-of-reps), so the measured difference is the scan layer itself.
-// Before timing, every rle result is verified BIT-IDENTICAL to its pixel
-// twin; the process exits nonzero on any mismatch.
+// Both sides of every pair run run(request, scratch) on one warm
+// LabelScratch (best-of-reps), so the measured difference is the scan
+// layer itself. Before timing, every rle result is verified BIT-IDENTICAL
+// to its pixel twin; the process exits nonzero on any mismatch.
 //
 // Gate: at EVERY density the run path must not lose to the pixel path
 // (speedup >= 1.0x). Sparse imagery is where run extraction overhead
@@ -53,6 +53,7 @@
 #include "core/aremsp.hpp"
 #include "core/label_scratch.hpp"
 #include "core/paremsp.hpp"
+#include "core/request.hpp"
 #include "core/rle_labelers.hpp"
 #include "image/generators.hpp"
 #include "obs/trace.hpp"
@@ -180,11 +181,13 @@ int main() {
   const auto compare = [&](const std::string& pair, double density,
                            const BinaryImage& image, const Labeler& pixel,
                            const Labeler& rle) {
+    LabelRequest request;
+    request.input = image;
     LabelScratch pixel_scratch;
     LabelScratch rle_scratch;
     // Verification + warmup in one: the rle twin must be bit-identical.
-    const LabelingResult want = pixel.label_into(image, pixel_scratch);
-    const LabelingResult got = rle.label_into(image, rle_scratch);
+    const LabelResponse want = pixel.run(request, pixel_scratch);
+    const LabelResponse got = rle.run(request, rle_scratch);
     if (got.num_components != want.num_components ||
         got.labels != want.labels) {
       std::cerr << "MISMATCH: " << rle.name() << " differs from "
@@ -193,10 +196,10 @@ int main() {
       return;
     }
     const double pixel_ms = best_ms(reps, [&] {
-      (void)pixel.label_into(image, pixel_scratch);
+      (void)pixel.run(request, pixel_scratch);
     });
     const double rle_ms = best_ms(reps, [&] {
-      (void)rle.label_into(image, rle_scratch);
+      (void)rle.run(request, rle_scratch);
     });
     RleRecord r;
     r.pair = pair;
@@ -243,24 +246,26 @@ int main() {
     const AremspRleLabeler guard_labeler;
     const TiledParemspRleLabeler traced_labeler(RleConfig{
         .threads = threads, .tile_rows = 256, .tile_cols = 256});
+    LabelRequest request;
+    request.input = image;
     LabelScratch scratch;
-    (void)guard_labeler.label_into(image, scratch);  // warm the scratch
+    (void)guard_labeler.run(request, scratch);  // warm the scratch
     // Each timed sample batches runs to ~25 ms so timer resolution and
     // scheduler slices cannot fake a 1% difference.
     const double single_ms = best_ms(3, [&] {
-      (void)guard_labeler.label_into(image, scratch);
+      (void)guard_labeler.run(request, scratch);
     });
     const int iters = std::max(1, static_cast<int>(25.0 / single_ms) + 1);
     const int guard_reps = std::max(3 * reps, 9);
     const auto batch = [&] {
       for (int i = 0; i < iters; ++i) {
-        (void)guard_labeler.label_into(image, scratch);
+        (void)guard_labeler.run(request, scratch);
       }
     };
     double base_ms = best_ms(guard_reps, batch) / iters;
     {
       paremsp::obs::TraceSession session;
-      const LabelingResult traced = traced_labeler.label_into(image, scratch);
+      const LabelResponse traced = traced_labeler.run(request, scratch);
       obs.timings = traced.timings;
       (void)session.stop();
     }

@@ -1,5 +1,5 @@
-// Sharded huge-image throughput: one large raster through
-// LabelingEngine::label_sharded at several tile geometries and worker
+// Sharded huge-image throughput: one large raster through sharded
+// LabelingEngine::submit requests at several tile geometries and worker
 // counts, against single-thread sequential AREMSP as the speedup baseline
 // and in-process run-based tiled PAREMSP (paremsp2d_rle, the same phase
 // code) as the OpenMP reference point. paremsp2d_rle is timed warm,
@@ -69,7 +69,7 @@ std::int64_t tile_count(Coord rows, Coord cols, Coord tr, Coord tc) {
 }
 
 /// Latency distribution of `reps` runs of `fn` (each returning a
-/// LabelingResult whose component count is checked against `want`).
+/// LabelResponse whose component count is checked against `want`).
 template <class Fn>
 std::vector<double> sample_latencies(int reps, Label want, Fn&& fn,
                                      int& failures) {
@@ -77,7 +77,7 @@ std::vector<double> sample_latencies(int reps, Label want, Fn&& fn,
   ms.reserve(static_cast<std::size_t>(reps));
   for (int rep = 0; rep < reps; ++rep) {
     const WallTimer timer;
-    const LabelingResult r = fn();
+    const LabelResponse r = fn();
     ms.push_back(timer.elapsed_ms());
     if (r.num_components != want) ++failures;
   }
@@ -138,14 +138,16 @@ int main() {
 
   // --- Baseline: single-thread sequential AREMSP ----------------------------
   const AremspLabeler aremsp;
-  const LabelingResult reference = aremsp.label(image);
+  LabelRequest request;
+  request.input = image;
+  const LabelResponse reference = aremsp.run(request);
   const auto baseline_ms = sample_latencies(
-      reps, reference.num_components, [&] { return aremsp.label(image); },
+      reps, reference.num_components, [&] { return aremsp.run(request); },
       failures);
   const double baseline_mpx = mpx / (baseline_ms.front() / 1e3);
 
   std::vector<RunRecord> runs;
-  TextTable table("label_sharded vs single-thread AREMSP (" +
+  TextTable table("sharded requests vs single-thread AREMSP (" +
                   TextTable::num(baseline_mpx, 1) + " Mpx/s baseline)");
   table.set_header({"configuration", "tiles", "threads", "Mpx/s", "tiles/s",
                     "p50 [ms]", "p99 [ms]", "speedup"});
@@ -183,11 +185,12 @@ int main() {
   for (const int workers : worker_counts) {
     engine::LabelingEngine eng({.workers = workers});
     for (const auto& [tr, tc] : geometries) {
-      const engine::ShardOptions options{.tile_rows = tr, .tile_cols = tc};
+      LabelRequest sharded = request;
+      sharded.shard = engine::ShardOptions{.tile_rows = tr, .tile_cols = tc};
 
       // Untimed verification first: bit-identical to sequential AREMSP.
       {
-        const LabelingResult got = eng.label_sharded(image, options);
+        const LabelResponse got = eng.submit(sharded).get();
         if (got.num_components != reference.num_components ||
             !(got.labels == reference.labels)) {
           std::cerr << "MISMATCH: sharded " << tr << "x" << tc << " @ "
@@ -198,7 +201,7 @@ int main() {
 
       const auto ms = sample_latencies(
           reps, reference.num_components,
-          [&] { return eng.label_sharded(image, options); }, failures);
+          [&] { return eng.submit(sharded).get(); }, failures);
       RunRecord r;
       r.algo = "engine.sharded";
       r.tile_rows = tr;
@@ -216,17 +219,8 @@ int main() {
     const TiledParemspRleLabeler tiled(RleConfig{
         .threads = max_threads, .tile_rows = 256, .tile_cols = 256});
     LabelScratch scratch;
-    LabelRequest request;
-    request.input = image;
-    const auto label_warm = [&] {
-      LabelResponse response = tiled.run(request, scratch);
-      LabelingResult got;
-      got.num_components = response.num_components;
-      got.labels = std::move(response.labels);
-      return got;
-    };
     {  // untimed verification: bit-identical to sequential AREMSP
-      LabelingResult got = label_warm();
+      LabelResponse got = tiled.run(request, scratch);
       if (got.num_components != reference.num_components ||
           !(got.labels == reference.labels)) {
         std::cerr << "MISMATCH: paremsp2d_rle differs from AREMSP\n";
@@ -237,7 +231,7 @@ int main() {
     const auto ms = sample_latencies(
         reps, reference.num_components,
         [&] {
-          LabelingResult got = label_warm();
+          LabelResponse got = tiled.run(request, scratch);
           scratch.recycle_plane(std::move(got.labels));
           return got;
         },

@@ -34,8 +34,10 @@ int main(int argc, char** argv) {
   // Sequential and parallel labelings must agree bit-for-bit.
   const AremspLabeler sequential;
   const ParemspLabeler parallel(ParemspConfig{cli.get_int("threads")});
-  const LabelingResult seq = sequential.label(raster);
-  const LabelingResult par = parallel.label(raster);
+  LabelRequest request;
+  request.input = raster;
+  const LabelResponse seq = sequential.run(request);
+  const LabelResponse par = parallel.run(request);
   if (seq.labels != par.labels) {
     std::cerr << "BUG: sequential and parallel labelings differ!\n";
     return 1;

@@ -37,7 +37,9 @@ int main(int argc, char** argv) {
   const BinaryImage binary = im2bw(gray, level);
 
   const auto labeler = make_labeler(Algorithm::Aremsp);
-  const LabelingResult result = labeler->label(binary);
+  LabelRequest request;
+  request.input = binary;
+  const LabelResponse result = labeler->run(request);
 
   std::int64_t white = 0;
   for (const auto px : binary.pixels()) white += px;
@@ -53,8 +55,9 @@ int main(int argc, char** argv) {
   // Extension 1: data-driven threshold via Otsu.
   const double otsu = otsu_level(gray);
   const BinaryImage otsu_bw = im2bw(gray, otsu);
+  request.input = otsu_bw;
   std::cout << "otsu level: " << otsu << " -> "
-            << labeler->label(otsu_bw).num_components << " components\n";
+            << labeler->run(request).num_components << " components\n";
 
   // Extension 2: grayscale (multi-level) CCL, no binarization at all.
   GrayImage quantized(gray.rows(), gray.cols());

@@ -47,7 +47,7 @@ class LabelScratch {
   /// elements (flood fill relies on this to extend a live queue).
   [[nodiscard]] std::span<Label> aux(std::size_t n) { return grown(aux_, n); }
 
-  /// Per-provisional-label feature cells for the fused label_with_stats
+  /// Per-provisional-label feature cells for the fused outputs.stats
   /// paths, indexed like parents(). Same grow-once contract; contents are
   /// unspecified — FeatureAccumulator::fresh initializes each cell at its
   /// new-label event, so no O(label-space) clear ever runs.

@@ -1,12 +1,9 @@
-// Labeler base: identity/validation plus the legacy wrappers, each of
-// which builds a LabelRequest and delegates to run() (core/request.cpp).
+// Labeler base: identity/validation and the binarizing threshold fallback
+// (run() itself lives in core/request.cpp).
 #include "core/labeling.hpp"
-
-#include <utility>
 
 #include "core/label_scratch.hpp"
 #include "core/registry.hpp"
-#include "core/request.hpp"
 
 namespace paremsp {
 
@@ -30,31 +27,6 @@ LabelingResult Labeler::run_gray_impl(ConstImageView gray, std::uint8_t cutoff,
     }
   }
   return run_impl(binary, connectivity, scratch, stats);
-}
-
-LabelingResult Labeler::label(const BinaryImage& image) const {
-  LabelScratch scratch;
-  return label_into(image, scratch);
-}
-
-LabelingResult Labeler::label_into(const BinaryImage& image,
-                                   LabelScratch& scratch) const {
-  LabelRequest request;
-  request.input = image;
-  return to_labeling_result(run(request, scratch));
-}
-
-LabelingWithStats Labeler::label_with_stats(const BinaryImage& image) const {
-  LabelScratch scratch;
-  return label_with_stats_into(image, scratch);
-}
-
-LabelingWithStats Labeler::label_with_stats_into(const BinaryImage& image,
-                                                 LabelScratch& scratch) const {
-  LabelRequest request;
-  request.input = image;
-  request.outputs.stats = true;
-  return to_labeling_with_stats(run(request, scratch));
 }
 
 }  // namespace paremsp

@@ -1,19 +1,13 @@
 // Public labeling interface.
 //
 // Every CCL algorithm in the library (the paper's CCLREMSP / AREMSP /
-// PAREMSP and all baselines) implements Labeler. The single execution
-// entry point is Labeler::run(LabelRequest) — a parameterized request over
-// a zero-copy ConstImageView (core/request.hpp) — which returns a
-// LabelResponse with consecutive final labels 1..num_components
+// PAREMSP and all baselines) implements Labeler. The one execution entry
+// point is Labeler::run(LabelRequest[, LabelScratch]) — a parameterized
+// request over a zero-copy ConstImageView (core/request.hpp) — which
+// returns a LabelResponse with consecutive final labels 1..num_components
 // (0 = background), optional fused component stats, and per-phase
 // wall-clock timings (exactly the split the paper's Figure 5 plots:
 // Phase-I local scan vs boundary merge vs FLATTEN vs final labeling).
-//
-// The historical method family (label / label_into / label_with_stats /
-// label_with_stats_into) remains as thin non-virtual wrappers that build a
-// LabelRequest and delegate, so results are bit-identical whichever
-// surface a caller uses; the exhaustive/differential/metamorphic suites
-// exercise run() through them on every call.
 #pragma once
 
 #include <cstdint>
@@ -98,21 +92,12 @@ struct PhaseTimings {
   }
 };
 
-/// Output of a labeling run (the legacy result shape; LabelResponse in
-/// core/request.hpp is the request-API equivalent).
+/// What one algorithm's run_impl produces; run() routes it into the
+/// request's LabelResponse (core/request.hpp).
 struct LabelingResult {
   LabelImage labels;          // final labels, 0 = background
   Label num_components = 0;   // labels used: 1..num_components
   PhaseTimings timings;
-};
-
-/// Output of a combined labeling + component-analysis run. `stats` is
-/// value-identical to analysis::compute_stats(labeling.labels,
-/// labeling.num_components) regardless of how it was produced — fused
-/// during the scan or by the generic post-pass fallback.
-struct LabelingWithStats {
-  LabelingResult labeling;
-  analysis::ComponentStats stats;
 };
 
 /// Abstract connected-component labeler.
@@ -152,29 +137,6 @@ class Labeler {
   /// buffers come from, never the result.
   [[nodiscard]] LabelResponse run(const LabelRequest& request,
                                   LabelScratch& scratch) const;
-
-  // --- Legacy entry points ---------------------------------------------------
-  // Thin wrappers: each builds the equivalent LabelRequest and delegates
-  // to run(), so every call below is bit-for-bit a request-API call.
-
-  /// Label all connected components of `image`.
-  [[nodiscard]] LabelingResult label(const BinaryImage& image) const;
-
-  /// label() through a reusable LabelScratch.
-  [[nodiscard]] LabelingResult label_into(const BinaryImage& image,
-                                          LabelScratch& scratch) const;
-
-  /// Label `image` AND measure every component (area, bbox, exact centroid
-  /// sums) in one call. Algorithms flagged AlgorithmInfo::fused_stats
-  /// accumulate the features during the labeling scan itself; everything
-  /// else falls back to labeling + analysis::compute_stats with
-  /// value-identical results.
-  [[nodiscard]] LabelingWithStats label_with_stats(
-      const BinaryImage& image) const;
-
-  /// label_with_stats through a reusable LabelScratch.
-  [[nodiscard]] LabelingWithStats label_with_stats_into(
-      const BinaryImage& image, LabelScratch& scratch) const;
 
  protected:
   /// Registers identity and validates the default connectivity through

@@ -4,15 +4,14 @@
 //
 //   auto image = paremsp::gen::landcover_like(2048, 2048, /*seed=*/1);
 //   auto labeler = paremsp::make_labeler(paremsp::Algorithm::Paremsp);
-//   auto result = labeler->label(image);
+//   paremsp::LabelRequest request;
+//   request.input = image;
+//   auto response = labeler->run(request);
 #pragma once
 
 #include "analysis/component_stats.hpp"
-#include "analysis/contours.hpp"
 #include "analysis/feature_accumulator.hpp"
 #include "analysis/equivalence.hpp"
-#include "analysis/shape.hpp"
-#include "analysis/filtering.hpp"
 #include "analysis/validation.hpp"
 #include "baselines/arun.hpp"
 #include "baselines/ccllrpc.hpp"

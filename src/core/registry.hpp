@@ -25,15 +25,17 @@ struct AlgorithmInfo {
   bool parallel = false;
   bool supports_four_connectivity = false;
   bool proposed_in_paper = false;  // vs baseline / oracle
-  /// True when label_into() reuses a LabelScratch allocation-free; the
-  /// batch engine runs these on recycled per-worker arenas (the rest fall
-  /// back to per-call allocation with identical results).
+  /// True when run(request, scratch) reuses a LabelScratch
+  /// allocation-free; the batch engine runs these on recycled per-worker
+  /// arenas (the rest fall back to per-call allocation with identical
+  /// results).
   bool scratch_reuse = false;
-  /// True when label_with_stats accumulates component features inside the
-  /// labeling scan itself (one pass over the pixels) in the default
-  /// configuration; the rest fall back to label() + compute_stats with
-  /// value-identical results. (PAREMSP's one-line ScanStrategy ablation is
-  /// the lone config exception — it falls back despite the flag.)
+  /// True when a request with outputs.stats accumulates component features
+  /// inside the labeling scan itself (one pass over the pixels) in the
+  /// default configuration; the rest fall back to labeling +
+  /// compute_stats with value-identical results. (PAREMSP's one-line
+  /// ScanStrategy ablation is the lone config exception — it falls back
+  /// despite the flag.)
   bool fused_stats = false;
 
   /// Whether this algorithm can label under `connectivity`. The single

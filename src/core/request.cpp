@@ -32,18 +32,6 @@ Connectivity validate_request(const LabelRequest& request,
   return connectivity;
 }
 
-LabelingResult to_labeling_result(LabelResponse&& response) {
-  return LabelingResult{std::move(response.labels), response.num_components,
-                        response.timings};
-}
-
-LabelingWithStats to_labeling_with_stats(LabelResponse&& response) {
-  LabelingWithStats out;
-  out.stats = std::move(*response.stats);
-  out.labeling = to_labeling_result(std::move(response));
-  return out;
-}
-
 LabelResponse Labeler::run(const LabelRequest& request) const {
   LabelScratch scratch;
   return run(request, scratch);

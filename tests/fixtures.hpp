@@ -9,10 +9,21 @@
 #include <vector>
 
 #include "analysis/component_stats.hpp"
+#include "core/request.hpp"
 #include "image/ascii.hpp"
 #include "image/raster.hpp"
 
 namespace paremsp::testing {
+
+/// The request most cases label through: all of `image` under the
+/// executor's default connectivity, plus the fused per-component features
+/// when `stats` is set.
+inline LabelRequest request_for(ConstImageView image, bool stats = false) {
+  LabelRequest request;
+  request.input = image;
+  request.outputs.stats = stats;
+  return request;
+}
 
 /// Exact equality of two component-stats sets: integers compared
 /// directly, and the centroid doubles are sum/area on both sides, so they

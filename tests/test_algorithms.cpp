@@ -14,14 +14,17 @@
 namespace paremsp {
 namespace {
 
+using testing::request_for;
+
 class EveryAlgorithm : public ::testing::TestWithParam<Algorithm> {
  protected:
   std::unique_ptr<Labeler> labeler() const { return make_labeler(GetParam()); }
 
   void expect_correct(const BinaryImage& image, const std::string& what) {
     SCOPED_TRACE(what);
-    const auto oracle = FloodFillLabeler(Connectivity::Eight).label(image);
-    const LabelingResult result = labeler()->label(image);
+    const auto oracle =
+        FloodFillLabeler(Connectivity::Eight).run(request_for(image));
+    const LabelResponse result = labeler()->run(request_for(image));
 
     EXPECT_EQ(result.num_components, oracle.num_components);
     const auto v = analysis::validate_labeling(image, result.labels,
@@ -40,7 +43,8 @@ TEST_P(EveryAlgorithm, HandlesAllFixtures) {
 TEST_P(EveryAlgorithm, ReportsFixtureComponentCounts) {
   for (const auto& fx : testing::fixtures()) {
     SCOPED_TRACE(fx.name);
-    EXPECT_EQ(labeler()->label(fx.image).num_components, fx.components8);
+    EXPECT_EQ(labeler()->run(request_for(fx.image)).num_components,
+              fx.components8);
   }
 }
 
@@ -95,7 +99,7 @@ TEST_P(EveryAlgorithm, LabelsAreRasterMinimalPerComponent) {
   // All two-pass algorithms number components consecutively; canonical
   // relabeling must be a no-op up to equivalence.
   const auto image = gen::misc_like(48, 48, 11);
-  LabelingResult result = labeler()->label(image);
+  LabelResponse result = labeler()->run(request_for(image));
   LabelImage canonical = result.labels;
   const Label n = analysis::canonical_relabel(canonical);
   EXPECT_EQ(n, result.num_components);
@@ -124,8 +128,8 @@ TEST_P(FourConnAlgorithm, MatchesFourConnOracle) {
 
   for (const auto& fx : testing::fixtures()) {
     SCOPED_TRACE(fx.name);
-    const auto expected = oracle.label(fx.image);
-    const auto result = labeler->label(fx.image);
+    const auto expected = oracle.run(request_for(fx.image));
+    const auto result = labeler->run(request_for(fx.image));
     EXPECT_EQ(result.num_components, fx.components4);
     const auto v = analysis::validate_labeling(
         fx.image, result.labels, result.num_components, Connectivity::Four);
@@ -135,8 +139,8 @@ TEST_P(FourConnAlgorithm, MatchesFourConnOracle) {
   }
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     const auto image = gen::uniform_noise(53, 37, 0.5, seed);
-    const auto expected = oracle.label(image);
-    const auto result = labeler->label(image);
+    const auto expected = oracle.run(request_for(image));
+    const auto result = labeler->run(request_for(image));
     EXPECT_EQ(result.num_components, expected.num_components);
     EXPECT_TRUE(
         analysis::equivalent_labelings(result.labels, expected.labels));
@@ -169,9 +173,9 @@ TEST(CrossAlgorithm, TwoLineFamilyIsBitIdentical) {
   // (not just partitions) must agree exactly.
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const auto image = gen::landcover_like(57, 49, seed);
-    const auto a = AremspLabeler().label(image);
-    const auto b = ArunLabeler().label(image);
-    const auto c = ParemspLabeler().label(image);
+    const auto a = AremspLabeler().run(request_for(image));
+    const auto b = ArunLabeler().run(request_for(image));
+    const auto c = ParemspLabeler().run(request_for(image));
     EXPECT_EQ(a.labels, b.labels) << "seed " << seed;
     EXPECT_EQ(a.labels, c.labels) << "seed " << seed;
   }
@@ -181,8 +185,8 @@ TEST(CrossAlgorithm, OneLineFamilyIsBitIdentical) {
   // CCLREMSP and CCLLRPC differ only in union-find; same numbering.
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const auto image = gen::texture_like(48, 52, seed);
-    const auto a = CclremspLabeler().label(image);
-    const auto b = CcllrpcLabeler().label(image);
+    const auto a = CclremspLabeler().run(request_for(image));
+    const auto b = CcllrpcLabeler().run(request_for(image));
     EXPECT_EQ(a.labels, b.labels) << "seed " << seed;
   }
 }
@@ -190,7 +194,7 @@ TEST(CrossAlgorithm, OneLineFamilyIsBitIdentical) {
 TEST(CrossAlgorithm, TimingsArePopulated) {
   const auto image = gen::landcover_like(128, 128, 3);
   for (const AlgorithmInfo& info : algorithm_catalog()) {
-    const auto result = make_labeler(info.id)->label(image);
+    const auto result = make_labeler(info.id)->run(request_for(image));
     EXPECT_GE(result.timings.total_ms, 0.0);
     EXPECT_GE(result.timings.scan_ms, 0.0);
     EXPECT_LE(result.timings.local_ms(), result.timings.local_plus_merge_ms());

@@ -9,14 +9,17 @@
 #include "analysis/feature_accumulator.hpp"
 #include "analysis/validation.hpp"
 #include "baselines/flood_fill.hpp"
+#include "fixtures.hpp"
 #include "image/ascii.hpp"
 #include "image/generators.hpp"
 
 namespace paremsp::analysis {
 namespace {
 
-LabelingResult labeled(const BinaryImage& img) {
-  return FloodFillLabeler().label(img);
+using testing::request_for;
+
+LabelResponse labeled(const BinaryImage& img) {
+  return FloodFillLabeler().run(request_for(img));
 }
 
 // --- Component stats -----------------------------------------------------------
@@ -296,7 +299,7 @@ TEST(Validate, FourConnectivityTreatsDiagonalAsSeparate) {
 #.
 .#)");
   // Under 4-connectivity this is two components.
-  const auto res4 = FloodFillLabeler(Connectivity::Four).label(img);
+  const auto res4 = FloodFillLabeler(Connectivity::Four).run(request_for(img));
   EXPECT_TRUE(
       validate_labeling(img, res4.labels, res4.num_components,
                         Connectivity::Four)
@@ -304,7 +307,7 @@ TEST(Validate, FourConnectivityTreatsDiagonalAsSeparate) {
   // The 8-connectivity labeling (one component) must fail a 4-conn check
   // ... actually a single label spanning diagonal pixels is *not*
   // 4-connected, so the validator flags it.
-  const auto res8 = FloodFillLabeler(Connectivity::Eight).label(img);
+  const auto res8 = FloodFillLabeler(Connectivity::Eight).run(request_for(img));
   EXPECT_FALSE(
       validate_labeling(img, res8.labels, res8.num_components,
                         Connectivity::Four)

@@ -9,9 +9,12 @@
 
 #include "common/prng.hpp"
 #include "core/paremsp_all.hpp"
+#include "fixtures.hpp"
 
 namespace paremsp {
 namespace {
+
+using testing::request_for;
 
 // --- Golden PRNG stream -----------------------------------------------------
 
@@ -56,9 +59,9 @@ TEST(Determinism, RepeatedRunsAreIdentical) {
   for (const auto& info : algorithm_catalog()) {
     SCOPED_TRACE(std::string(info.name));
     const auto labeler = make_labeler(info.id);
-    const auto first = labeler->label(image);
+    const auto first = labeler->run(request_for(image));
     for (int i = 0; i < 3; ++i) {
-      const auto again = labeler->label(image);
+      const auto again = labeler->run(request_for(image));
       EXPECT_EQ(again.labels, first.labels);
       EXPECT_EQ(again.num_components, first.num_components);
     }
@@ -70,13 +73,13 @@ TEST(Determinism, ConcurrentLabelCallsOnOneLabeler) {
   // at once (the PAREMSP lock pool is shared; stripes are reusable).
   const BinaryImage image = gen::landcover_like(96, 96, 4);
   const ParemspLabeler labeler(ParemspConfig{2});
-  const auto expected = labeler.label(image);
+  const auto expected = labeler.run(request_for(image));
 
-  std::vector<std::future<LabelingResult>> futures;
+  std::vector<std::future<LabelResponse>> futures;
   futures.reserve(4);
   for (int i = 0; i < 4; ++i) {
     futures.push_back(std::async(std::launch::async, [&] {
-      return labeler.label(image);
+      return labeler.run(request_for(image));
     }));
   }
   for (auto& f : futures) {
@@ -92,10 +95,10 @@ TEST(Determinism, ResultsIndependentOfPriorInputs) {
   const BinaryImage b = gen::uniform_noise(48, 48, 0.5, 3);
   for (const auto& info : algorithm_catalog()) {
     SCOPED_TRACE(std::string(info.name));
-    const auto fresh = make_labeler(info.id)->label(b);
+    const auto fresh = make_labeler(info.id)->run(request_for(b));
     const auto reused_labeler = make_labeler(info.id);
-    (void)reused_labeler->label(a);
-    const auto after = reused_labeler->label(b);
+    (void)reused_labeler->run(request_for(a));
+    const auto after = reused_labeler->run(request_for(b));
     EXPECT_EQ(after.labels, fresh.labels);
   }
 }

@@ -12,7 +12,7 @@
 // (common/env.hpp), so a CI failure replays verbatim:
 //   PAREMSP_TEST_SEED=<seed> ./paremsp_tests --gtest_filter='Differential.*'
 //
-// Besides raw labels, every algorithm's label_with_stats output is
+// Besides raw labels, every algorithm's stats-request output is
 // cross-checked against the post-pass compute_stats oracle on the same
 // plane: the fused accumulate-during-scan paths must be value-identical
 // (exact integers and the centroids derived from them) on every cell of
@@ -37,6 +37,8 @@
 
 namespace paremsp {
 namespace {
+
+using testing::request_for;
 
 using testing::expect_stats_identical;
 
@@ -78,9 +80,9 @@ void diff_against_oracle(const AlgorithmInfo& info, const BinaryImage& image,
   }
 
   const auto oracle =
-      make_labeler(Algorithm::FloodFill, options)->label(image);
+      make_labeler(Algorithm::FloodFill, options)->run(request_for(image));
   const auto labeler = make_labeler(info.id, options);
-  LabelingResult got = labeler->label(image);
+  LabelResponse got = labeler->run(request_for(image));
   EXPECT_EQ(got.num_components, oracle.num_components)
       << info.name << " " << why;
 
@@ -94,17 +96,16 @@ void diff_against_oracle(const AlgorithmInfo& info, const BinaryImage& image,
                                              got.num_components, connectivity);
   EXPECT_TRUE(v.ok) << info.name << " " << why << "\n" << v.error;
 
-  // Fused stats: label_with_stats must label bit-identically to label()
+  // Fused stats: a stats request must label bit-identically to a plain one
   // and measure value-identically to the post-pass oracle on that plane.
-  const LabelingWithStats ws = labeler->label_with_stats(image);
-  EXPECT_EQ(ws.labeling.num_components, got.num_components)
+  const LabelResponse ws = labeler->run(request_for(image, /*stats=*/true));
+  EXPECT_EQ(ws.num_components, got.num_components)
       << info.name << " " << why;
-  EXPECT_EQ(ws.labeling.labels, got.labels)
-      << info.name << " label_with_stats diverged from label() " << why;
+  EXPECT_EQ(ws.labels, got.labels)
+      << info.name << " stats request diverged from plain request " << why;
   expect_stats_identical(
-      ws.stats,
-      analysis::compute_stats(ws.labeling.labels,
-                              ws.labeling.num_components),
+      *ws.stats,
+      analysis::compute_stats(ws.labels, ws.num_components),
       std::string(info.name) + " " + why);
 }
 
@@ -182,23 +183,22 @@ TEST(Differential, FusedStatsAcrossDegenerateTileGeometries) {
     const BinaryImage image = gen::uniform_noise(13, 19, density, seed);
     const std::string why = dump_case(image, seed, density,
                                       Connectivity::Eight);
-    const auto reference =
-        make_labeler(Algorithm::Aremsp)->label_with_stats(image);
+    const auto reference = make_labeler(Algorithm::Aremsp)
+                               ->run(request_for(image, /*stats=*/true));
     for (const auto& [tr, tc] : geometries) {
       const TiledParemspRleLabeler tiled(
           RleConfig{.tile_rows = tr, .tile_cols = tc});
-      const LabelingWithStats ws = tiled.label_with_stats(image);
+      const LabelResponse ws = tiled.run(request_for(image, /*stats=*/true));
       // Tiled output is bit-identical to AREMSP, so the stats must match
       // the reference's component for component, not only as a multiset.
       const std::string context = std::string(info.name) + " tiles " +
                                   std::to_string(tr) + "x" +
                                   std::to_string(tc) + " " + why;
-      EXPECT_EQ(ws.labeling.labels, reference.labeling.labels) << context;
-      expect_stats_identical(ws.stats, reference.stats, context);
+      EXPECT_EQ(ws.labels, reference.labels) << context;
+      expect_stats_identical(*ws.stats, *reference.stats, context);
       expect_stats_identical(
-          ws.stats,
-          analysis::compute_stats(ws.labeling.labels,
-                                  ws.labeling.num_components),
+          *ws.stats,
+          analysis::compute_stats(ws.labels, ws.num_components),
           context);
     }
   }

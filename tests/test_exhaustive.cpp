@@ -4,7 +4,7 @@
 // decision-tree branches and two-line-scan cases; the rectangular shapes
 // catch row/column boundary handling.
 //
-// The fused-stats algorithms additionally run label_with_stats on every
+// The fused-stats algorithms additionally run a stats request on every
 // image, cross-checked against the post-pass compute_stats oracle — an
 // exhaustive proof that the accumulate-during-scan hooks fire on every
 // branch of the two-line mask (including forced multi-chunk PAREMSP) and
@@ -21,6 +21,8 @@
 
 namespace paremsp {
 namespace {
+
+using testing::request_for;
 
 BinaryImage image_from_bits(Coord rows, Coord cols, std::uint32_t bits) {
   BinaryImage img(rows, cols);
@@ -84,9 +86,9 @@ TEST_P(ExhaustiveShape, AllAlgorithmsMatchOracleOnEveryImage) {
   for (std::uint64_t bits = 0; bits < total; bits += stride) {
     const BinaryImage img =
         image_from_bits(rows, cols, static_cast<std::uint32_t>(bits));
-    const auto expected = oracle.label(img);
+    const auto expected = oracle.run(request_for(img));
     for (const auto& labeler : labelers) {
-      const auto got = labeler->label(img);
+      const auto got = labeler->run(request_for(img));
       if (got.num_components != expected.num_components ||
           !analysis::equivalent_labelings(got.labels, expected.labels)) {
         FAIL() << labeler->name() << " wrong on " << rows << "x" << cols
@@ -95,21 +97,21 @@ TEST_P(ExhaustiveShape, AllAlgorithmsMatchOracleOnEveryImage) {
       }
     }
     for (const auto& labeler : fused) {
-      const LabelingWithStats ws = labeler->label_with_stats(img);
-      if (ws.labeling.num_components != expected.num_components ||
-          !analysis::equivalent_labelings(ws.labeling.labels,
+      const LabelResponse ws = labeler->run(request_for(img, /*stats=*/true));
+      if (ws.num_components != expected.num_components ||
+          !analysis::equivalent_labelings(ws.labels,
                                           expected.labels)) {
-        FAIL() << labeler->name() << " label_with_stats mislabeled "
+        FAIL() << labeler->name() << " stats request mislabeled "
                << rows << "x" << cols << " bits=" << bits << "\n"
                << to_ascii(img);
       }
       const auto oracle_stats = analysis::compute_stats(
-          ws.labeling.labels, ws.labeling.num_components);
+          ws.labels, ws.num_components);
       // Cheap pre-check keeps the 65536-image hot loop free of failure
       // message construction; the shared helper reports on mismatch.
-      if (ws.stats.components != oracle_stats.components) {
+      if (ws.stats->components != oracle_stats.components) {
         testing::expect_stats_identical(
-            ws.stats, oracle_stats,
+            *ws.stats, oracle_stats,
             std::string(labeler->name()) + " " + std::to_string(rows) + "x" +
                 std::to_string(cols) + " bits=" + std::to_string(bits) +
                 "\n" + to_ascii(img));

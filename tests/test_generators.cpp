@@ -4,10 +4,13 @@
 
 #include "baselines/flood_fill.hpp"
 #include "common/contracts.hpp"
+#include "fixtures.hpp"
 #include "image/generators.hpp"
 
 namespace paremsp::gen {
 namespace {
+
+using testing::request_for;
 
 std::int64_t foreground(const BinaryImage& img) {
   std::int64_t n = 0;
@@ -16,7 +19,7 @@ std::int64_t foreground(const BinaryImage& img) {
 }
 
 Label count_components(const BinaryImage& img) {
-  return FloodFillLabeler().label(img).num_components;
+  return FloodFillLabeler().run(request_for(img)).num_components;
 }
 
 // --- Determinism across all stochastic generators ----------------------------
@@ -113,7 +116,7 @@ TEST(Maze, WallsFormOneComponentAndCorridorsPerfect) {
       inverted(r, c) = img(r, c) != 0 ? std::uint8_t{0} : std::uint8_t{1};
     }
   }
-  EXPECT_EQ(FloodFillLabeler(Connectivity::Four).label(inverted)
+  EXPECT_EQ(FloodFillLabeler(Connectivity::Four).run(request_for(inverted))
                 .num_components,
             1);
 }

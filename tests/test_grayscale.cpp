@@ -6,10 +6,13 @@
 
 #include "baselines/flood_fill.hpp"
 #include "core/grayscale.hpp"
+#include "fixtures.hpp"
 #include "image/generators.hpp"
 
 namespace paremsp {
 namespace {
+
+using testing::request_for;
 
 /// Reference: label each gray level's mask separately with flood fill and
 /// sum the component counts.
@@ -23,7 +26,7 @@ Label reference_count(const GrayImage& image, Connectivity conn) {
         mask(r, c) = image(r, c) == v ? std::uint8_t{1} : std::uint8_t{0};
       }
     }
-    total += FloodFillLabeler(conn).label(mask).num_components;
+    total += FloodFillLabeler(conn).run(request_for(mask)).num_components;
   }
   return total;
 }
@@ -86,7 +89,7 @@ TEST(Grayscale, BinaryImageDegeneratesToTwoPhaseLabeling) {
         bin.pixels()[static_cast<std::size_t>(i)];
   }
   const auto gray_res = label_grayscale(as_gray);
-  const auto bin_res = FloodFillLabeler().label(bin);
+  const auto bin_res = FloodFillLabeler().run(request_for(bin));
 
   // Count distinct gray labels on foreground pixels only.
   std::set<Label> fg_labels;

@@ -12,13 +12,15 @@
 namespace paremsp {
 namespace {
 
+using testing::request_for;
+
 class PSuzukiThreads : public ::testing::TestWithParam<int> {};
 
 TEST_P(PSuzukiThreads, MatchesOracleOnFixtures) {
   const ParallelSuzukiLabeler labeler(Connectivity::Eight, GetParam());
   for (const auto& fx : testing::fixtures()) {
     SCOPED_TRACE(fx.name);
-    const auto got = labeler.label(fx.image);
+    const auto got = labeler.run(request_for(fx.image));
     EXPECT_EQ(got.num_components, fx.components8);
     const auto v = analysis::validate_labeling(fx.image, got.labels,
                                                got.num_components);
@@ -31,14 +33,14 @@ TEST_P(PSuzukiThreads, MatchesOracleOnGeneratedImages) {
   const FloodFillLabeler oracle;
   for (std::uint64_t seed = 0; seed < 3; ++seed) {
     const auto image = gen::landcover_like(61, 53, seed);
-    const auto expected = oracle.label(image);
-    const auto got = labeler.label(image);
+    const auto expected = oracle.run(request_for(image));
+    const auto got = labeler.run(request_for(image));
     EXPECT_EQ(got.num_components, expected.num_components);
     EXPECT_TRUE(analysis::equivalent_labelings(got.labels, expected.labels));
   }
   // Spiral: worst case for propagation (many global iterations).
   const auto spiral = gen::spiral(49, 49, 2, 3);
-  const auto got = labeler.label(spiral);
+  const auto got = labeler.run(request_for(spiral));
   EXPECT_EQ(got.num_components, 1);
   EXPECT_GE(labeler.last_iteration_count(), 2);
 }
@@ -48,10 +50,10 @@ TEST_P(PSuzukiThreads, FourConnectivity) {
   const FloodFillLabeler oracle(Connectivity::Four);
   for (const auto& fx : testing::fixtures()) {
     SCOPED_TRACE(fx.name);
-    const auto got = labeler.label(fx.image);
+    const auto got = labeler.run(request_for(fx.image));
     EXPECT_EQ(got.num_components, fx.components4);
     EXPECT_TRUE(analysis::equivalent_labelings(
-        got.labels, oracle.label(fx.image).labels));
+        got.labels, oracle.run(request_for(fx.image)).labels));
   }
 }
 
@@ -60,8 +62,8 @@ TEST_P(PSuzukiThreads, LabelsAreRasterCanonical) {
   // increasing order equals flood fill's raster-first numbering exactly.
   const ParallelSuzukiLabeler labeler(Connectivity::Eight, GetParam());
   const auto image = gen::misc_like(47, 59, 9);
-  const auto got = labeler.label(image);
-  const auto oracle = FloodFillLabeler().label(image);
+  const auto got = labeler.run(request_for(image));
+  const auto oracle = FloodFillLabeler().run(request_for(image));
   EXPECT_EQ(got.labels, oracle.labels);
 }
 
@@ -73,9 +75,9 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, PSuzukiThreads,
 
 TEST(PSuzuki, IterationCountGrowsWithSnakyness) {
   const ParallelSuzukiLabeler labeler(Connectivity::Eight, 2);
-  (void)labeler.label(gen::uniform_noise(64, 64, 0.3, 1));
+  (void)labeler.run(request_for(gen::uniform_noise(64, 64, 0.3, 1)));
   const int noise_iters = labeler.last_iteration_count();
-  (void)labeler.label(gen::spiral(64, 64, 1, 2));
+  (void)labeler.run(request_for(gen::spiral(64, 64, 1, 2)));
   const int spiral_iters = labeler.last_iteration_count();
   // The spiral needs more global sweeps than speckle noise — the
   // multi-pass weakness PAREMSP's two-pass design avoids.
@@ -84,10 +86,10 @@ TEST(PSuzuki, IterationCountGrowsWithSnakyness) {
 
 TEST(PSuzuki, DegenerateInputs) {
   const ParallelSuzukiLabeler labeler;
-  EXPECT_EQ(labeler.label(BinaryImage()).num_components, 0);
-  EXPECT_EQ(labeler.label(BinaryImage(3, 3, 0)).num_components, 0);
-  EXPECT_EQ(labeler.label(BinaryImage(3, 3, 1)).num_components, 1);
-  EXPECT_EQ(labeler.label(BinaryImage(1, 1, 1)).num_components, 1);
+  EXPECT_EQ(labeler.run(request_for(BinaryImage())).num_components, 0);
+  EXPECT_EQ(labeler.run(request_for(BinaryImage(3, 3, 0))).num_components, 0);
+  EXPECT_EQ(labeler.run(request_for(BinaryImage(3, 3, 1))).num_components, 1);
+  EXPECT_EQ(labeler.run(request_for(BinaryImage(1, 1, 1))).num_components, 1);
   EXPECT_THROW(ParallelSuzukiLabeler(Connectivity::Eight, -1),
                PreconditionError);
 }

@@ -15,6 +15,8 @@
 namespace paremsp {
 namespace {
 
+using testing::request_for;
+
 ParemspLabeler with(int threads,
                     MergeBackend backend = MergeBackend::LockedRem,
                     int lock_bits = 12) {
@@ -29,8 +31,8 @@ TEST_P(ParemspThreads, MatchesSequentialAremspExactly) {
   const int threads = GetParam();
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     const auto image = gen::landcover_like(75, 61, seed);
-    const auto seq = AremspLabeler().label(image);
-    const auto par = with(threads).label(image);
+    const auto seq = AremspLabeler().run(request_for(image));
+    const auto par = with(threads).run(request_for(image));
     EXPECT_EQ(par.num_components, seq.num_components) << "seed " << seed;
     EXPECT_EQ(par.labels, seq.labels) << "seed " << seed;
   }
@@ -41,8 +43,8 @@ TEST_P(ParemspThreads, AllWorkloadShapes) {
   const AremspLabeler seq;
   const auto check = [&](const BinaryImage& image, const std::string& what) {
     SCOPED_TRACE(what);
-    const auto expected = seq.label(image);
-    const auto got = with(threads).label(image);
+    const auto expected = seq.run(request_for(image));
+    const auto got = with(threads).run(request_for(image));
     EXPECT_EQ(got.labels, expected.labels);
     EXPECT_EQ(got.num_components, expected.num_components);
     const auto v = analysis::validate_labeling(image, got.labels,
@@ -66,7 +68,8 @@ TEST_P(ParemspThreads, OddAndTinyRowCounts) {
     const auto image =
         gen::uniform_noise(rows, 33, 0.5, static_cast<std::uint64_t>(rows));
     SCOPED_TRACE("rows=" + std::to_string(rows));
-    EXPECT_EQ(with(threads).label(image).labels, seq.label(image).labels);
+    EXPECT_EQ(with(threads).run(request_for(image)).labels,
+              seq.run(request_for(image)).labels);
   }
 }
 
@@ -75,8 +78,8 @@ TEST_P(ParemspThreads, FixturesMatchSequential) {
   const AremspLabeler seq;
   for (const auto& fx : testing::fixtures()) {
     SCOPED_TRACE(fx.name);
-    const auto got = with(threads).label(fx.image);
-    EXPECT_EQ(got.labels, seq.label(fx.image).labels);
+    const auto got = with(threads).run(request_for(fx.image));
+    EXPECT_EQ(got.labels, seq.run(request_for(fx.image)).labels);
     EXPECT_EQ(got.num_components, fx.components8);
   }
 }
@@ -100,12 +103,12 @@ TEST_P(ParemspBackend, AgreesWithSequentialOnStressImages) {
       const auto image = gen::landcover_like(96, 48, seed, 2);
       SCOPED_TRACE("threads=" + std::to_string(threads) + " seed=" +
                    std::to_string(seed));
-      EXPECT_EQ(with(threads, backend).label(image).labels,
-                seq.label(image).labels);
+      EXPECT_EQ(with(threads, backend).run(request_for(image)).labels,
+                seq.run(request_for(image)).labels);
     }
     const auto comb = gen::stripes(96, 48, 2, 1, /*vertical=*/true);
-    EXPECT_EQ(with(threads, backend).label(comb).labels,
-              seq.label(comb).labels);
+    EXPECT_EQ(with(threads, backend).run(request_for(comb)).labels,
+              seq.run(request_for(comb)).labels);
   }
 }
 
@@ -113,8 +116,8 @@ TEST_P(ParemspBackend, TinyLockPoolStillCorrect) {
   // One-lock pool (bits=0) serializes every root update but must stay
   // correct — catches accidental lock-identity assumptions.
   const auto image = gen::uniform_noise(80, 40, 0.55, 12);
-  const auto seq = AremspLabeler().label(image);
-  const auto got = with(8, GetParam(), /*lock_bits=*/0).label(image);
+  const auto seq = AremspLabeler().run(request_for(image));
+  const auto got = with(8, GetParam(), /*lock_bits=*/0).run(request_for(image));
   EXPECT_EQ(got.labels, seq.labels);
 }
 
@@ -132,9 +135,9 @@ TEST(ParemspBoundaries, ComponentsSpanningEveryBoundary) {
   // Vertical bars: every component crosses every chunk boundary; plus a
   // U-shape that is split into two chunk-local components and re-merged.
   const auto bars = gen::stripes(64, 32, 3, 1, /*vertical=*/true);
-  const auto seq = AremspLabeler().label(bars);
+  const auto seq = AremspLabeler().run(request_for(bars));
   for (const int threads : {2, 3, 4, 6, 8, 16, 32}) {
-    EXPECT_EQ(with(threads).label(bars).labels, seq.labels)
+    EXPECT_EQ(with(threads).run(request_for(bars)).labels, seq.labels)
         << "threads=" << threads;
   }
 }
@@ -148,10 +151,10 @@ TEST(ParemspBoundaries, ArchRejoinsAcrossChunks) {
     arch(r, 0) = 1;
     arch(r, 19) = 1;
   }
-  const auto seq = AremspLabeler().label(arch);
+  const auto seq = AremspLabeler().run(request_for(arch));
   ASSERT_EQ(seq.num_components, 1);
   for (const int threads : {2, 4, 8}) {
-    const auto got = with(threads).label(arch);
+    const auto got = with(threads).run(request_for(arch));
     EXPECT_EQ(got.num_components, 1) << "threads=" << threads;
     EXPECT_EQ(got.labels, seq.labels);
   }
@@ -163,22 +166,22 @@ TEST(ParemspBoundaries, DiagonalOnlyBoundaryContacts) {
   BinaryImage diag(48, 48, 0);
   for (Coord i = 0; i < 48; ++i) diag(i, i) = 1;
   for (const int threads : {2, 4, 8}) {
-    const auto got = with(threads).label(diag);
+    const auto got = with(threads).run(request_for(diag));
     EXPECT_EQ(got.num_components, 1) << "threads=" << threads;
   }
   // Anti-diagonal exercises the c-neighbor (col+1) merge path.
   BinaryImage anti(48, 48, 0);
   for (Coord i = 0; i < 48; ++i) anti(i, 47 - i) = 1;
   for (const int threads : {2, 4, 8}) {
-    EXPECT_EQ(with(threads).label(anti).num_components, 1);
+    EXPECT_EQ(with(threads).run(request_for(anti)).num_components, 1);
   }
 }
 
 TEST(ParemspBoundaries, MoreThreadsThanRowPairs) {
   const auto image = gen::uniform_noise(6, 40, 0.5, 77);  // 3 row pairs
-  const auto seq = AremspLabeler().label(image);
+  const auto seq = AremspLabeler().run(request_for(image));
   for (const int threads : {4, 8, 64}) {
-    EXPECT_EQ(with(threads).label(image).labels, seq.labels)
+    EXPECT_EQ(with(threads).run(request_for(image)).labels, seq.labels)
         << "threads=" << threads;
   }
 }
@@ -204,8 +207,8 @@ TEST(ParemspConfigTest, ReportsIdentity) {
 
 TEST(ParemspTimings, MergePhaseOnlyWhenMultipleChunks) {
   const auto image = gen::landcover_like(128, 64, 5);
-  const auto one = with(1).label(image);
-  const auto four = with(4).label(image);
+  const auto one = with(1).run(request_for(image));
+  const auto four = with(4).run(request_for(image));
   EXPECT_EQ(one.labels, four.labels);
   EXPECT_GE(four.timings.merge_ms, 0.0);
   EXPECT_GT(four.timings.total_ms, 0.0);

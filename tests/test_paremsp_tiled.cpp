@@ -17,6 +17,8 @@
 namespace paremsp {
 namespace {
 
+using testing::request_for;
+
 TiledParemspRleLabeler tiled(Coord tile_rows, Coord tile_cols,
                              int threads = 3,
                              MergeBackend backend = MergeBackend::LockedRem) {
@@ -30,8 +32,8 @@ void expect_matches_aremsp(const TiledParemspRleLabeler& labeler,
                            const BinaryImage& image,
                            const std::string& what) {
   SCOPED_TRACE(what);
-  const auto expected = AremspLabeler().label(image);
-  const auto got = labeler.label(image);
+  const auto expected = AremspLabeler().run(request_for(image));
+  const auto got = labeler.run(request_for(image));
   EXPECT_EQ(got.num_components, expected.num_components);
   EXPECT_EQ(got.labels, expected.labels);  // bit-identical, any grid
   const auto v = analysis::validate_labeling(image, got.labels,
@@ -63,7 +65,8 @@ TEST_P(TiledGrid, Fixtures) {
   const auto labeler = tiled(tr, tc);
   for (const auto& fx : testing::fixtures()) {
     SCOPED_TRACE(fx.name);
-    EXPECT_EQ(labeler.label(fx.image).num_components, fx.components8);
+    EXPECT_EQ(labeler.run(request_for(fx.image)).num_components,
+              fx.components8);
   }
 }
 
@@ -85,26 +88,26 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(TiledParemsp, SingleTileIsBitIdenticalToAremsp) {
   const auto image = gen::misc_like(60, 60, 8);
-  const auto expected = AremspLabeler().label(image);
-  const auto got = tiled(1024, 1024, 4).label(image);
+  const auto expected = AremspLabeler().run(request_for(image));
+  const auto got = tiled(1024, 1024, 4).run(request_for(image));
   EXPECT_EQ(got.labels, expected.labels);
 }
 
 TEST(TiledParemsp, DeterministicAcrossThreadCounts) {
   const auto image = gen::landcover_like(96, 80, 3);
-  const auto reference = tiled(16, 16, 1).label(image);
+  const auto reference = tiled(16, 16, 1).run(request_for(image));
   for (const int threads : {2, 4, 8}) {
-    const auto got = tiled(16, 16, threads).label(image);
+    const auto got = tiled(16, 16, threads).run(request_for(image));
     EXPECT_EQ(got.labels, reference.labels) << "threads=" << threads;
   }
 }
 
 TEST(TiledParemsp, AllMergeBackends) {
   const auto image = gen::uniform_noise(64, 64, 0.55, 17);
-  const auto expected = AremspLabeler().label(image);
+  const auto expected = AremspLabeler().run(request_for(image));
   for (const auto backend : {MergeBackend::LockedRem, MergeBackend::CasRem,
                              MergeBackend::Sequential}) {
-    const auto got = tiled(8, 8, 4, backend).label(image);
+    const auto got = tiled(8, 8, 4, backend).run(request_for(image));
     EXPECT_EQ(got.num_components, expected.num_components)
         << to_string(backend);
     EXPECT_EQ(got.labels, expected.labels) << to_string(backend);
@@ -116,10 +119,10 @@ TEST(TiledParemsp, CornerOnlyContacts) {
   // corner-diagonal, the hardest boundary case.
   BinaryImage diag(64, 64, 0);
   for (Coord i = 0; i < 64; ++i) diag(i, i) = 1;
-  EXPECT_EQ(tiled(8, 8).label(diag).num_components, 1);
+  EXPECT_EQ(tiled(8, 8).run(request_for(diag)).num_components, 1);
   BinaryImage anti(64, 64, 0);
   for (Coord i = 0; i < 64; ++i) anti(i, 63 - i) = 1;
-  EXPECT_EQ(tiled(8, 8).label(anti).num_components, 1);
+  EXPECT_EQ(tiled(8, 8).run(request_for(anti)).num_components, 1);
 }
 
 TEST(TiledParemsp, OddSizedEdgesAndTinyImages) {
@@ -133,7 +136,7 @@ TEST(TiledParemsp, OddSizedEdgesAndTinyImages) {
     expect_matches_aremsp(labeler, image,
                           std::to_string(rows) + "x" + std::to_string(cols));
   }
-  EXPECT_EQ(labeler.label(BinaryImage()).num_components, 0);
+  EXPECT_EQ(labeler.run(request_for(BinaryImage())).num_components, 0);
 }
 
 TEST(TiledParemsp, ConfigValidation) {

@@ -1,7 +1,6 @@
-// Unified request/response API: Labeler::run and LabelingEngine::submit
-// subsume the legacy method matrix bit-for-bit, per-request connectivity
-// is validated like construction, and OutputSet/label_out/shard route
-// outputs as documented.
+// Request/response API: Labeler::run and LabelingEngine::submit agree
+// bit-for-bit, per-request connectivity is validated like construction,
+// and OutputSet/label_out/shard route outputs as documented.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -19,6 +18,8 @@
 namespace paremsp {
 namespace {
 
+using testing::request_for;
+
 using engine::EngineConfig;
 using engine::LabelingEngine;
 
@@ -27,31 +28,7 @@ BinaryImage test_image(Coord rows = 48, Coord cols = 64,
   return gen::landcover_like(rows, cols, seed);
 }
 
-// --- Labeler::run equals every legacy entry point ----------------------------
-
-TEST(LabelRequestApi, RunMatchesLegacyWrappersForEveryAlgorithm) {
-  const BinaryImage image = test_image();
-  for (const auto& info : algorithm_catalog()) {
-    const auto labeler = make_labeler(info.id);
-    const LabelingResult via_label = labeler->label(image);
-    const LabelingWithStats via_stats = labeler->label_with_stats(image);
-
-    LabelRequest plain;
-    plain.input = image;
-    const LabelResponse r1 = labeler->run(plain);
-    EXPECT_EQ(r1.labels, via_label.labels) << info.name;
-    EXPECT_EQ(r1.num_components, via_label.num_components) << info.name;
-    EXPECT_FALSE(r1.stats.has_value()) << info.name;
-
-    LabelRequest with_stats = plain;
-    with_stats.outputs.stats = true;
-    const LabelResponse r2 = labeler->run(with_stats);
-    EXPECT_EQ(r2.labels, via_stats.labeling.labels) << info.name;
-    ASSERT_TRUE(r2.stats.has_value()) << info.name;
-    paremsp::testing::expect_stats_identical(*r2.stats, via_stats.stats,
-                                             std::string(info.name));
-  }
-}
+// --- Labeler::run -----------------------------------------------------------
 
 TEST(LabelRequestApi, WarmScratchRunIsBitIdentical) {
   const BinaryImage small = test_image(32, 32, 1);
@@ -75,7 +52,7 @@ TEST(LabelRequestApi, WarmScratchRunIsBitIdentical) {
 TEST(LabelRequestApi, StatsOnlyRequestSkipsThePlane) {
   const BinaryImage image = test_image();
   const auto labeler = make_labeler(Algorithm::Aremsp);
-  const LabelingWithStats want = labeler->label_with_stats(image);
+  const LabelResponse want = labeler->run(request_for(image, /*stats=*/true));
 
   LabelRequest request;
   request.input = image;
@@ -83,8 +60,8 @@ TEST(LabelRequestApi, StatsOnlyRequestSkipsThePlane) {
   request.outputs.stats = true;
   const LabelResponse response = labeler->run(request);
   EXPECT_TRUE(response.labels.empty());
-  EXPECT_EQ(response.num_components, want.labeling.num_components);
-  paremsp::testing::expect_stats_identical(*response.stats, want.stats,
+  EXPECT_EQ(response.num_components, want.num_components);
+  paremsp::testing::expect_stats_identical(*response.stats, *want.stats,
                                            "stats-only");
 }
 
@@ -102,7 +79,7 @@ TEST(LabelRequestApi, ConnectivityOverrideMatchesDedicatedLabeler) {
 
   const auto four = make_labeler(
       Algorithm::Cclremsp, LabelerOptions{.connectivity = Connectivity::Four});
-  const LabelingResult want = four->label(image);
+  const LabelResponse want = four->run(request_for(image));
   EXPECT_EQ(got.labels, want.labels);
   EXPECT_EQ(got.num_components, want.num_components);
 
@@ -110,10 +87,10 @@ TEST(LabelRequestApi, ConnectivityOverrideMatchesDedicatedLabeler) {
   LabelRequest def;
   def.input = image;
   EXPECT_EQ(labeler->run(def).num_components,
-            labeler->label(image).num_components);
+            labeler->run(request_for(image)).num_components);
 }
 
-// --- Engine: submit(LabelRequest) subsumes the matrix ------------------------
+// --- Engine: submit(LabelRequest) matches Labeler::run ---------------------
 
 TEST(LabelRequestApi, EngineSubmitRequestMatchesDirectRun) {
   const std::vector<BinaryImage> images = {
@@ -132,10 +109,11 @@ TEST(LabelRequestApi, EngineSubmitRequestMatchesDirectRun) {
   }
   for (std::size_t i = 0; i < images.size(); ++i) {
     LabelResponse got = futures[i].get();
-    const LabelingWithStats want = reference->label_with_stats(images[i]);
-    EXPECT_EQ(got.labels, want.labeling.labels) << "image " << i;
-    EXPECT_EQ(got.num_components, want.labeling.num_components);
-    paremsp::testing::expect_stats_identical(*got.stats, want.stats,
+    const LabelResponse want =
+        reference->run(request_for(images[i], /*stats=*/true));
+    EXPECT_EQ(got.labels, want.labels) << "image " << i;
+    EXPECT_EQ(got.num_components, want.num_components);
+    paremsp::testing::expect_stats_identical(*got.stats, *want.stats,
                                              "engine request " +
                                                  std::to_string(i));
   }
@@ -144,7 +122,7 @@ TEST(LabelRequestApi, EngineSubmitRequestMatchesDirectRun) {
 TEST(LabelRequestApi, EngineSubmitRequestWithLabelOut) {
   const BinaryImage image = test_image();
   const auto reference = make_labeler(Algorithm::Aremsp);
-  const LabelingResult want = reference->label(image);
+  const LabelResponse want = reference->run(request_for(image));
 
   LabelingEngine eng(EngineConfig{.workers = 2});
   LabelImage destination(image.rows(), image.cols(), -1);
@@ -169,7 +147,8 @@ TEST(LabelRequestApi, EngineConnectivityOverridePerJob) {
   four.connectivity = Connectivity::Four;
   const auto want = make_labeler(
       Algorithm::Cclremsp, LabelerOptions{.connectivity = Connectivity::Four});
-  EXPECT_EQ(eng.submit(std::move(four)).get().labels, want->label(image).labels);
+  EXPECT_EQ(eng.submit(std::move(four)).get().labels,
+            want->run(request_for(image)).labels);
 
   // An unsupported override fails THAT job's future with the registry's
   // uniform PreconditionError; the engine keeps serving.
@@ -179,16 +158,16 @@ TEST(LabelRequestApi, EngineConnectivityOverridePerJob) {
   bad.connectivity = Connectivity::Four;  // aremsp is 8-only
   auto failed = aremsp_eng.submit(std::move(bad));
   EXPECT_THROW((void)failed.get(), PreconditionError);
-  EXPECT_EQ(aremsp_eng.submit_view(image).get().labels,
-            make_labeler(Algorithm::Aremsp)->label(image).labels);
+  EXPECT_EQ(aremsp_eng.submit(request_for(image)).get().labels,
+            make_labeler(Algorithm::Aremsp)->run(request_for(image)).labels);
 }
 
 // --- Engine: sharded requests ------------------------------------------------
 
 TEST(LabelRequestApi, ShardedRequestMatchesSequentialAremsp) {
   const BinaryImage image = test_image(96, 128, 21);
-  const LabelingWithStats want =
-      make_labeler(Algorithm::Aremsp)->label_with_stats(image);
+  const LabelResponse want =
+      make_labeler(Algorithm::Aremsp)->run(request_for(image, /*stats=*/true));
 
   LabelingEngine eng(EngineConfig{.workers = 2});
   LabelRequest request;
@@ -196,9 +175,9 @@ TEST(LabelRequestApi, ShardedRequestMatchesSequentialAremsp) {
   request.outputs.stats = true;
   request.shard = ShardOptions{.tile_rows = 24, .tile_cols = 32};
   LabelResponse got = eng.submit(std::move(request)).get();
-  EXPECT_EQ(got.labels, want.labeling.labels);
-  EXPECT_EQ(got.num_components, want.labeling.num_components);
-  paremsp::testing::expect_stats_identical(*got.stats, want.stats,
+  EXPECT_EQ(got.labels, want.labels);
+  EXPECT_EQ(got.num_components, want.num_components);
+  paremsp::testing::expect_stats_identical(*got.stats, *want.stats,
                                            "sharded request");
 }
 
@@ -207,8 +186,8 @@ TEST(LabelRequestApi, ShardedRequestHonorsLabelOutAndRoi) {
   // the full zero-copy request path through the tile pipeline.
   const BinaryImage parent = gen::texture_like(80, 120, 8);
   const ConstImageView roi = ConstImageView(parent).subview(8, 12, 64, 96);
-  const LabelingResult want =
-      make_labeler(Algorithm::Aremsp)->label(materialize(roi));
+  const LabelResponse want =
+      make_labeler(Algorithm::Aremsp)->run(request_for(materialize(roi)));
 
   LabelingEngine eng(EngineConfig{.workers = 2});
   LabelImage destination(64, 96, -1);
@@ -225,10 +204,11 @@ TEST(LabelRequestApi, ShardedRequestHonorsLabelOutAndRoi) {
 TEST(LabelRequestApi, ShardedRequestHonorsRequestAndEngineConnectivity) {
   // Noise has diagonal-only contacts, so the connectivities disagree.
   const BinaryImage image = gen::uniform_noise(48, 64, 0.5, 11);
-  const LabelingResult four = make_labeler(
+  const LabelResponse four = make_labeler(
       Algorithm::Cclremsp, LabelerOptions{.connectivity = Connectivity::Four})
-                                  ->label(image);
-  ASSERT_NE(four.labels, make_labeler(Algorithm::Aremsp)->label(image).labels);
+                                  ->run(request_for(image));
+  ASSERT_NE(four.labels,
+            make_labeler(Algorithm::Aremsp)->run(request_for(image)).labels);
   LabelingEngine eng(EngineConfig{.workers = 1});
   LabelRequest request;
   request.input = image;
@@ -254,7 +234,7 @@ TEST(LabelRequestApi, ShardedRequestHonorsRequestAndEngineConnectivity) {
   eight.connectivity = Connectivity::Eight;
   eight.shard = ShardOptions{.tile_rows = 16, .tile_cols = 16};
   EXPECT_EQ(four_eng.submit(std::move(eight)).get().labels,
-            make_labeler(Algorithm::Aremsp)->label(image).labels);
+            make_labeler(Algorithm::Aremsp)->run(request_for(image)).labels);
 }
 
 }  // namespace

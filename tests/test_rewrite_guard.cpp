@@ -17,11 +17,14 @@
 #include "core/request.hpp"
 #include "core/rle_labelers.hpp"
 #include "engine/engine.hpp"
+#include "fixtures.hpp"
 #include "image/generators.hpp"
 #include "stream/slab_session.hpp"
 
 namespace paremsp {
 namespace {
+
+using testing::request_for;
 
 constexpr Coord kWidths[] = {1, 15, 16, 17, 31, 33};
 constexpr Label kSentinel = -7;
@@ -97,7 +100,7 @@ TEST(RewriteGuard, ShardedLabelOutKeepsItsPadding) {
       request.label_out = window(plane, rows, cols);
       request.shard = ShardOptions{.tile_rows = tile_rows, .tile_cols = w};
       const LabelResponse response = eng.submit(request).get();
-      const LabelingResult want = AremspLabeler().label(image);
+      const LabelResponse want = AremspLabeler().run(request_for(image));
       EXPECT_EQ(response.num_components, want.num_components);
       expect_guarded(plane, want.labels);
     }
@@ -119,7 +122,7 @@ TEST(RewriteGuard, TiledRleLabelOutKeepsItsPadding) {
       request.input = image;
       request.label_out = window(plane, rows, cols);
       const LabelResponse response = labeler.run(request);
-      const LabelingResult want = AremspLabeler().label(image);
+      const LabelResponse want = AremspLabeler().run(request_for(image));
       EXPECT_EQ(response.num_components, want.num_components);
       expect_guarded(plane, want.labels);
     }
@@ -142,7 +145,7 @@ TEST(RewriteGuard, StreamSlabsMatchAremspAtEveryWidth) {
               .labels);
     }
     const stream::StreamResult result = session.finish();
-    const LabelingResult want = AremspLabeler().label(image);
+    const LabelResponse want = AremspLabeler().run(request_for(image));
     ASSERT_EQ(result.num_components, want.num_components);
     for (std::size_t k = 0; k < planes.size(); ++k) {
       const Coord r0 = static_cast<Coord>(k) * 5;

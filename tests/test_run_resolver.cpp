@@ -13,11 +13,14 @@
 #include "core/aremsp.hpp"
 #include "core/cclremsp.hpp"
 #include "core/tiled_phases.hpp"
+#include "fixtures.hpp"
 #include "image/generators.hpp"
 #include "unionfind/parallel_rem.hpp"
 
 namespace paremsp {
 namespace {
+
+using testing::request_for;
 
 /// Run fn(i) for i in [0, n) on a team of `threads` std::threads, item i
 /// on thread i % threads; joining the team is the phase barrier. Nothing
@@ -39,10 +42,10 @@ void run_team(int threads, std::size_t n, Fn fn) {
 /// The whole run pipeline with every phase on a std::thread team: scan,
 /// CAS seam merge, resolve, number, rank, then finalize + rewrite fused
 /// per tile as the engine schedules them.
-LabelingResult label_on_team(const BinaryImage& image, Coord tile_rows,
+LabelResponse label_on_team(const BinaryImage& image, Coord tile_rows,
                              Coord tile_cols, Connectivity connectivity,
                              int threads) {
-  LabelingResult result;
+  LabelResponse result;
   result.labels = LabelImage(image.rows(), image.cols());
   std::vector<TileSpec> tiles =
       make_tile_grid(image.rows(), image.cols(), tile_rows, tile_cols);
@@ -114,16 +117,16 @@ TEST(RunResolverStdThread, TeamsAreBitIdenticalToSequentialForEveryGeometry) {
        {Connectivity::Eight, Connectivity::Four}) {
     for (const Geometry& g : kGeometries) {
       for (const auto& [what, image] : images(g.rows, g.cols)) {
-        const LabelingResult want =
+        const LabelResponse want =
             connectivity == Connectivity::Eight
-                ? AremspLabeler().label(image)
-                : CclremspLabeler(Connectivity::Four).label(image);
+                ? AremspLabeler().run(request_for(image))
+                : CclremspLabeler(Connectivity::Four).run(request_for(image));
         for (const int threads : {2, 3, 4}) {
           SCOPED_TRACE(std::string(g.name) + " / " + what + " / " +
                        std::to_string(threads) + " threads / " +
                        (connectivity == Connectivity::Eight ? "8" : "4") +
                        "-conn");
-          const LabelingResult got = label_on_team(
+          const LabelResponse got = label_on_team(
               image, g.tile_rows, g.tile_cols, connectivity, threads);
           EXPECT_EQ(got.num_components, want.num_components);
           EXPECT_EQ(got.labels, want.labels);
@@ -159,7 +162,7 @@ TEST(RunResolverStdThread, SerialCompositionMatchesTheTeams) {
     for (std::size_t t = 0; t < tiles.size(); ++t) {
       rewrite_run_labels(runs[t], parents, tiles[t], out);
     }
-    const LabelingResult team = label_on_team(image, 7, 9, connectivity, 3);
+    const LabelResponse team = label_on_team(image, 7, 9, connectivity, 3);
     EXPECT_EQ(k, team.num_components);
     EXPECT_EQ(out, team.labels);
   }

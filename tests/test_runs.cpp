@@ -34,6 +34,8 @@
 namespace paremsp {
 namespace {
 
+using testing::request_for;
+
 /// Naive per-pixel run extractor: the oracle RunBuffer::extract (RowBits
 /// words + countr walking) must reproduce exactly.
 std::vector<Run> naive_runs(ConstImageView image, Coord row_begin,
@@ -402,10 +404,10 @@ TEST(Runs, EightConnRleBitIdenticalToAremspOnFixtures) {
   const AremspLabeler reference;
   const auto matrix = rle_matrix(Connectivity::Eight);
   for (const auto& fixture : testing::fixtures()) {
-    const LabelingResult want = reference.label(fixture.image);
+    const LabelResponse want = reference.run(request_for(fixture.image));
     ASSERT_EQ(want.num_components, fixture.components8) << fixture.name;
     for (const auto& [name, labeler] : matrix) {
-      const LabelingResult got = labeler->label(fixture.image);
+      const LabelResponse got = labeler->run(request_for(fixture.image));
       EXPECT_EQ(got.num_components, want.num_components)
           << name << " on " << fixture.name;
       EXPECT_EQ(got.labels, want.labels) << name << " on " << fixture.name;
@@ -422,9 +424,9 @@ TEST(Runs, EightConnRleBitIdenticalToAremspOnRandomMatrix) {
       const BinaryImage image =
           gen::uniform_noise(rows, cols, density,
                              static_cast<std::uint64_t>(rows * 1000 + cols));
-      const LabelingResult want = reference.label(image);
+      const LabelResponse want = reference.run(request_for(image));
       for (const auto& [name, labeler] : matrix) {
-        const LabelingResult got = labeler->label(image);
+        const LabelResponse got = labeler->run(request_for(image));
         const std::string context = name + " " + std::to_string(rows) + "x" +
                                     std::to_string(cols) + " d" +
                                     std::to_string(density);
@@ -442,10 +444,10 @@ TEST(Runs, FourConnRleBitIdenticalToCclremsp) {
   const CclremspLabeler reference(Connectivity::Four);
   const auto matrix = rle_matrix(Connectivity::Four);
   for (const auto& fixture : testing::fixtures()) {
-    const LabelingResult want = reference.label(fixture.image);
+    const LabelResponse want = reference.run(request_for(fixture.image));
     ASSERT_EQ(want.num_components, fixture.components4) << fixture.name;
     for (const auto& [name, labeler] : matrix) {
-      const LabelingResult got = labeler->label(fixture.image);
+      const LabelResponse got = labeler->run(request_for(fixture.image));
       EXPECT_EQ(got.labels, want.labels) << name << " on " << fixture.name;
       EXPECT_EQ(got.num_components, want.num_components)
           << name << " on " << fixture.name;
@@ -460,16 +462,16 @@ TEST(Runs, FusedStatsMatchPostPassOracleAcrossConfigurations) {
     for (const std::uint64_t seed : {11ULL, 12ULL}) {
       const BinaryImage image = gen::uniform_noise(29, 70, 0.55, seed);
       for (const auto& [name, labeler] : matrix) {
-        const LabelingWithStats ws = labeler->label_with_stats(image);
-        const LabelingResult plain = labeler->label(image);
+        const LabelResponse ws =
+            labeler->run(request_for(image, /*stats=*/true));
+        const LabelResponse plain = labeler->run(request_for(image));
         const std::string context =
             name + " " + to_string(connectivity) + " seed " +
             std::to_string(seed);
-        EXPECT_EQ(ws.labeling.labels, plain.labels) << context;
+        EXPECT_EQ(ws.labels, plain.labels) << context;
         testing::expect_stats_identical(
-            ws.stats,
-            analysis::compute_stats(ws.labeling.labels,
-                                    ws.labeling.num_components),
+            *ws.stats,
+            analysis::compute_stats(ws.labels, ws.num_components),
             context);
       }
     }
@@ -478,17 +480,17 @@ TEST(Runs, FusedStatsMatchPostPassOracleAcrossConfigurations) {
 
 TEST(Runs, RleLabelIntoReusesScratchAllocationFree) {
   // Same contract as the pixel algorithms' scratch_reuse flag: after the
-  // high-water-mark image has been seen once, repeated label_into calls
+  // high-water-mark image has been seen once, repeated warm run() calls
   // must not grow the scratch again.
   for (const auto name : {"aremsp_rle", "paremsp_rle", "paremsp2d_rle"}) {
     const auto labeler = make_labeler(algorithm_from_name(name));
     LabelScratch scratch;
     const BinaryImage image = gen::landcover_like(96, 96, 5);
-    LabelingResult first = labeler->label_into(image, scratch);
+    LabelResponse first = labeler->run(request_for(image), scratch);
     scratch.recycle_plane(std::move(first.labels));
     const auto grows_after_warmup = scratch.grow_count();
     for (int i = 0; i < 3; ++i) {
-      LabelingResult again = labeler->label_into(image, scratch);
+      LabelResponse again = labeler->run(request_for(image), scratch);
       scratch.recycle_plane(std::move(again.labels));
     }
     EXPECT_EQ(scratch.grow_count(), grows_after_warmup) << name;
@@ -512,7 +514,7 @@ TEST(Runs, ThresholdRequestBitIdenticalToIm2bwPlusLabel) {
     for (const double level : {0.0, 0.35, 0.5, 1.0}) {
       const BinaryImage bw = im2bw(gray, level);
       for (const auto& [name, labeler] : matrix) {
-        const LabelingResult want = labeler->label(bw);
+        const LabelResponse want = labeler->run(request_for(bw));
         LabelRequest request;
         request.input = gray;
         request.threshold = level;
@@ -541,10 +543,10 @@ TEST(Runs, ThresholdRequestWithStatsMatchesBinarizedOracle) {
   request.threshold = 0.5;
   request.outputs.stats = true;
   const LabelResponse got = labeler.run(request);
-  const LabelingWithStats want = labeler.label_with_stats(bw);
-  EXPECT_EQ(got.labels, want.labeling.labels);
+  const LabelResponse want = labeler.run(request_for(bw, /*stats=*/true));
+  EXPECT_EQ(got.labels, want.labels);
   ASSERT_TRUE(got.stats.has_value());
-  testing::expect_stats_identical(*got.stats, want.stats,
+  testing::expect_stats_identical(*got.stats, *want.stats,
                                   "fused threshold stats");
 }
 
@@ -642,9 +644,12 @@ TEST(Sharded, RunScanBitIdenticalToAremspAcrossGeometries) {
       const BinaryImage image =
           seed == 1 ? gen::spiral(rows, cols, 2, 3)
                     : gen::uniform_noise(rows, cols, 0.5, seed + 7);
-      const LabelingResult want = reference.label(image);
-      const LabelingResult got = eng.label_sharded(
-          image, engine::ShardOptions{.tile_rows = tr, .tile_cols = tc});
+      const LabelResponse want = reference.run(request_for(image));
+      const LabelResponse got =
+          eng.submit({.input = image,
+                      .shard = engine::ShardOptions{.tile_rows = tr,
+                                                    .tile_cols = tc}})
+              .get();
       const std::string context = "tiles " + std::to_string(tr) + "x" +
                                   std::to_string(tc) + " seed " +
                                   std::to_string(seed);
@@ -657,12 +662,15 @@ TEST(Sharded, RunScanBitIdenticalToAremspAcrossGeometries) {
 TEST(Sharded, RunScanWithStatsMatchesPostPassOracle) {
   engine::LabelingEngine eng({.workers = 2});
   const BinaryImage image = gen::landcover_like(64, 96, 21);
-  const LabelingWithStats got = eng.label_sharded_with_stats(
-      image, engine::ShardOptions{.tile_rows = 16, .tile_cols = 16});
+  const LabelResponse got =
+      eng.submit({.input = image,
+                  .outputs = {.stats = true},
+                  .shard = engine::ShardOptions{.tile_rows = 16,
+                                                .tile_cols = 16}})
+          .get();
   testing::expect_stats_identical(
-      got.stats,
-      analysis::compute_stats(got.labeling.labels,
-                              got.labeling.num_components),
+      *got.stats,
+      analysis::compute_stats(got.labels, got.num_components),
       "sharded runs with stats");
 }
 
@@ -676,8 +684,8 @@ TEST(Sharded, RunScanSupportsFourConnectivityViaRequestOverride) {
   request.connectivity = Connectivity::Four;
   request.shard = ShardOptions{.tile_rows = 13, .tile_cols = 11};
   const LabelResponse response = eng.submit(request).get();
-  const LabelingResult want =
-      AremspRleLabeler(Connectivity::Four).label(image);
+  const LabelResponse want =
+      AremspRleLabeler(Connectivity::Four).run(request_for(image));
   EXPECT_EQ(response.num_components, want.num_components);
   EXPECT_EQ(response.labels, want.labels);
   const auto v = analysis::validate_labeling(
@@ -689,22 +697,22 @@ TEST(Sharded, RunScanSupportsFourConnectivityViaRequestOverride) {
   LabelRequest defaults = request;
   defaults.shard = ShardOptions{};
   const LabelResponse by_default = eng.submit(defaults).get();
-  const LabelingResult cclremsp =
+  const LabelResponse cclremsp =
       make_labeler(Algorithm::Cclremsp,
                    LabelerOptions{.connectivity = Connectivity::Four})
-          ->label(image);
+          ->run(request_for(image));
   EXPECT_EQ(by_default.num_components, cclremsp.num_components);
   EXPECT_EQ(by_default.labels, cclremsp.labels);
 }
 
 TEST(Sharded, ThresholdRequestMatchesBinarizedOracleBothScanKernels) {
   // Sharded fusion: the cutoff threads into the per-tile run scan (no
-  // binary plane is materialized), bit-identical to im2bw + label_sharded.
+  // binary plane is materialized), bit-identical to im2bw + a sharded request.
   engine::LabelingEngine eng({.workers = 2});
   const GrayImage gray = gen::plasma(45, 77, 3);
   const BinaryImage bw = im2bw(gray, 0.5);
   const engine::ShardOptions opts{.tile_rows = 13, .tile_cols = 20};
-  const LabelingResult want = eng.label_sharded(bw, opts);
+  const LabelResponse want = eng.submit({.input = bw, .shard = opts}).get();
   LabelRequest request;
   request.input = gray;
   request.threshold = 0.5;
@@ -725,7 +733,7 @@ TEST(Sharded, RunScanLabelOutAndDegenerateImages) {
   request.shard = ShardOptions{.tile_rows = 7, .tile_cols = 8};
   const LabelResponse response = eng.submit(request).get();
   EXPECT_TRUE(response.labels.empty());
-  const LabelingResult want = AremspLabeler().label(image);
+  const LabelResponse want = AremspLabeler().run(request_for(image));
   for (Coord r = 0; r < 24; ++r) {
     for (Coord c = 0; c < 30; ++c) {
       ASSERT_EQ(big(r + 2, c + 3), want.labels(r, c)) << r << "," << c;
@@ -739,8 +747,9 @@ TEST(Sharded, RunScanLabelOutAndDegenerateImages) {
   for (const auto& [rows, cols] :
        std::vector<std::pair<Coord, Coord>>{{0, 0}, {0, 5}, {5, 0}, {1, 1}}) {
     const BinaryImage degenerate(rows, cols, 1);
-    const LabelingResult got =
-        eng.label_sharded(degenerate, engine::ShardOptions{});
+    const LabelResponse got =
+        eng.submit({.input = degenerate, .shard = engine::ShardOptions{}})
+            .get();
     EXPECT_EQ(got.num_components, rows > 0 && cols > 0 ? 1 : 0);
   }
 }

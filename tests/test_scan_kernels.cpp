@@ -19,6 +19,8 @@
 namespace paremsp {
 namespace {
 
+using testing::request_for;
+
 // --- Equivalence policies -----------------------------------------------------
 
 TEST(RemEquivPolicy, IssuesLabelsFromBase) {
@@ -164,11 +166,11 @@ TEST(ParemspOneLine, MatchesSequentialCclremspExactly) {
   const CclremspLabeler seq;
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     const auto image = gen::landcover_like(66, 44, seed);
-    const auto expected = seq.label(image);
+    const auto expected = seq.run(request_for(image));
     for (const int threads : {1, 2, 4, 8}) {
       const ParemspLabeler par(ParemspConfig{
           threads, MergeBackend::LockedRem, 12, ScanStrategy::OneLine});
-      const auto got = par.label(image);
+      const auto got = par.run(request_for(image));
       EXPECT_EQ(got.labels, expected.labels)
           << "threads=" << threads << " seed=" << seed;
       EXPECT_EQ(got.num_components, expected.num_components);
@@ -181,7 +183,7 @@ TEST(ParemspOneLine, HandlesFixtures) {
       ParemspConfig{3, MergeBackend::CasRem, 12, ScanStrategy::OneLine});
   for (const auto& fx : testing::fixtures()) {
     SCOPED_TRACE(fx.name);
-    EXPECT_EQ(par.label(fx.image).num_components, fx.components8);
+    EXPECT_EQ(par.run(request_for(fx.image)).num_components, fx.components8);
   }
 }
 

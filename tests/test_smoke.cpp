@@ -9,14 +9,16 @@
 namespace paremsp {
 namespace {
 
+using testing::request_for;
+
 TEST(Smoke, AllAlgorithmsLabelLandcover) {
   const BinaryImage image = gen::landcover_like(64, 96, /*seed=*/42);
-  const auto oracle = FloodFillLabeler().label(image);
+  const auto oracle = FloodFillLabeler().run(request_for(image));
 
   for (const AlgorithmInfo& info : algorithm_catalog()) {
     SCOPED_TRACE(std::string(info.name));
     const auto labeler = make_labeler(info.id);
-    const LabelingResult result = labeler->label(image);
+    const LabelResponse result = labeler->run(request_for(image));
     EXPECT_EQ(result.num_components, oracle.num_components);
     const auto validation = analysis::validate_labeling(
         image, result.labels, result.num_components);
@@ -29,8 +31,9 @@ TEST(Smoke, FixtureCountsAreConsistent) {
   for (const auto& fx : testing::fixtures()) {
     SCOPED_TRACE(fx.name);
     const auto res8 =
-        FloodFillLabeler(Connectivity::Eight).label(fx.image);
-    const auto res4 = FloodFillLabeler(Connectivity::Four).label(fx.image);
+        FloodFillLabeler(Connectivity::Eight).run(request_for(fx.image));
+    const auto res4 =
+        FloodFillLabeler(Connectivity::Four).run(request_for(fx.image));
     EXPECT_EQ(res8.num_components, fx.components8);
     EXPECT_EQ(res4.num_components, fx.components4);
   }

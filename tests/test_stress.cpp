@@ -10,9 +10,12 @@
 #include "analysis/validation.hpp"
 #include "common/prng.hpp"
 #include "core/paremsp_all.hpp"
+#include "fixtures.hpp"
 
 namespace paremsp {
 namespace {
+
+using testing::request_for;
 
 BinaryImage random_workload(Xoshiro256& rng) {
   const Coord rows = static_cast<Coord>(rng.next_in(1, 96));
@@ -52,9 +55,9 @@ TEST(Stress, EveryAlgorithmOnRandomWorkloadMatrix) {
     SCOPED_TRACE("round " + std::to_string(round) + " " +
                  std::to_string(image.rows()) + "x" +
                  std::to_string(image.cols()));
-    const auto expected = oracle.label(image);
+    const auto expected = oracle.run(request_for(image));
     for (const auto& labeler : labelers) {
-      const auto got = labeler->label(image);
+      const auto got = labeler->run(request_for(image));
       ASSERT_EQ(got.num_components, expected.num_components)
           << labeler->name();
       ASSERT_TRUE(analysis::equivalent_labelings(got.labels,
@@ -70,7 +73,7 @@ TEST(Stress, ParemspRandomThreadAndConfigMatrix) {
   constexpr int kRounds = 40;
   for (int round = 0; round < kRounds; ++round) {
     const BinaryImage image = random_workload(rng);
-    const auto expected = sequential.label(image);
+    const auto expected = sequential.run(request_for(image));
 
     const int threads = static_cast<int>(rng.next_in(1, 16));
     const auto backend = static_cast<MergeBackend>(rng.next_below(3));
@@ -80,7 +83,7 @@ TEST(Stress, ParemspRandomThreadAndConfigMatrix) {
                  to_string(backend) + " bits=" + std::to_string(lock_bits));
 
     const ParemspLabeler par(ParemspConfig{threads, backend, lock_bits});
-    const auto got = par.label(image);
+    const auto got = par.run(request_for(image));
     ASSERT_EQ(got.labels, expected.labels);  // bit-identical, always
   }
 }
@@ -91,7 +94,7 @@ TEST(Stress, TiledParemspRandomGridMatrix) {
   constexpr int kRounds = 40;
   for (int round = 0; round < kRounds; ++round) {
     const BinaryImage image = random_workload(rng);
-    const auto expected = sequential.label(image);
+    const auto expected = sequential.run(request_for(image));
 
     const RleConfig config{
         .threads = static_cast<int>(rng.next_in(1, 8)),
@@ -103,7 +106,7 @@ TEST(Stress, TiledParemspRandomGridMatrix) {
                  std::to_string(config.tile_cols));
 
     const TiledParemspRleLabeler par(config);
-    const auto got = par.label(image);
+    const auto got = par.run(request_for(image));
     ASSERT_EQ(got.num_components, expected.num_components);
     ASSERT_TRUE(
         analysis::equivalent_labelings(got.labels, expected.labels));
@@ -133,7 +136,7 @@ TEST(Stress, GrayscaleRandomMatrix) {
                 ? std::uint8_t{1}
                 : std::uint8_t{0};
       }
-      expected += FloodFillLabeler().label(mask).num_components;
+      expected += FloodFillLabeler().run(request_for(mask)).num_components;
     }
     ASSERT_EQ(res.num_components, expected);
   }

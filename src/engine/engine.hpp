@@ -95,8 +95,12 @@ class LabelingEngine {
   /// sharded tile pipeline across the whole worker pool (one huge image)
   /// instead of as a single worker job; the future only becomes ready
   /// once that pipeline has quiesced, so a ready future always means no
-  /// worker still reads the borrowed storage. Blocks while the queue is
-  /// full (backpressure); throws PreconditionError after shutdown().
+  /// worker still reads the borrowed storage; if the engine shuts down
+  /// mid-shard, the future carries a PreconditionError. Submit sharded
+  /// requests from producer threads only (not from inside engine jobs):
+  /// the initial tile fan-out takes the bounded queue path. Blocks while
+  /// the queue is full (backpressure); throws PreconditionError after
+  /// shutdown().
   [[nodiscard]] std::future<LabelResponse> submit(LabelRequest request);
 
   /// Open a streaming slab session (engine/stream_session.hpp): label an
